@@ -13,6 +13,7 @@
 #include "reduction/force_pass.hpp"
 #include "smp/thread_team.hpp"
 #include "util/simd.hpp"
+#include "util/timer.hpp"
 
 namespace hdem {
 namespace {
@@ -43,11 +44,8 @@ struct System {
   }
 
   void rebuild_links() {
-    auto disp = [this](const Vec<3>& a, const Vec<3>& b) {
-      return bc.displacement(a, b);
-    };
     build_links(list, grid, store.cpositions(), store.size(), cfg.cutoff(),
-                disp);
+                bc.pair_disp());
   }
 };
 
@@ -74,11 +72,8 @@ struct SystemD {
     grid.bin(store.positions(), store.size());
     store.apply_permutation(grid.order(), store.size());
     grid.reset_order_to_identity();
-    auto disp = [this](const Vec<D>& a, const Vec<D>& b) {
-      return bc.displacement(a, b);
-    };
     build_links(list, grid, store.cpositions(), store.size(), cfg.cutoff(),
-                disp);
+                bc.pair_disp());
   }
 };
 
@@ -189,6 +184,68 @@ void BM_LinkBuild(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_LinkBuild)->Arg(20000)->Arg(100000);
+
+// Link generation alone (snapshot + kernel, no color plan), one thread, at
+// paper density (args: n, ordered).  ordered = 1: periodic box with the
+// store permuted into cell order, so the kernel reads positions in place
+// (SerialSim/SmpSim); ordered = 0: walled box in generation order, so the
+// snapshot gathers first (the block drivers' layout).  Reported per
+// candidate pair (every pair the cell stencil offers) and per link.
+template <int D>
+void BM_LinkGen(benchmark::State& state) {
+  const auto n = static_cast<std::uint64_t>(state.range(0));
+  const bool ordered = state.range(1) != 0;
+  SimConfig<D> cfg;
+  cfg.box = Vec<D>(SimConfig<D>::paper_box_edge(n));
+  cfg.bc = ordered ? BoundaryKind::kPeriodic : BoundaryKind::kWalls;
+  ParticleStore<D> store;
+  for (const auto& p : uniform_random_particles(cfg, n)) {
+    store.push_back(p.pos, p.vel);
+  }
+  std::array<bool, D> wrap{};
+  wrap.fill(ordered);
+  CellGrid<D> grid;
+  grid.configure(Vec<D>{}, cfg.box, cfg.cutoff(), wrap);
+  grid.bin(store.positions(), store.size());
+  if (ordered) {
+    store.apply_permutation(grid.order(), store.size());
+    grid.reset_order_to_identity();
+  }
+  const PairDisp<D> disp{cfg.box, ordered};
+  double candidates = 0.0;
+  for (std::int32_t c = 0; c < grid.ncells(); ++c) {
+    const auto nc = static_cast<double>(grid.cell_particles(c).size());
+    candidates += 0.5 * nc * (nc - 1.0);
+    for (const auto& off : CellGrid<D>::half_stencil()) {
+      const std::int32_t nb = grid.neighbor(c, off);
+      if (nb >= 0) {
+        candidates += nc * static_cast<double>(grid.cell_particles(nb).size());
+      }
+    }
+  }
+  LinkList list;
+  std::vector<Vec<D>> buf;
+  double seconds = 0.0;
+  for (auto _ : state) {
+    Timer t;
+    const auto cells = snapshot_cells(grid, store.cpositions(), buf);
+    generate_links(list, grid, cells, store.size(), cfg.cutoff(), disp);
+    benchmark::DoNotOptimize(list.links.data());
+    seconds += t.seconds();
+  }
+  const double ns = 1e9 * seconds / static_cast<double>(state.iterations());
+  state.counters["ns_per_candidate"] = ns / candidates;
+  state.counters["ns_per_link"] = ns / static_cast<double>(list.size());
+  state.counters["candidates_per_particle"] =
+      candidates / static_cast<double>(n);
+  state.SetLabel(ordered ? "cell-ordered" : "gathered");
+}
+BENCHMARK_TEMPLATE(BM_LinkGen, 2)
+    ->ArgNames({"n", "ordered"})
+    ->ArgsProduct({{120000}, {0, 1}});
+BENCHMARK_TEMPLATE(BM_LinkGen, 3)
+    ->ArgNames({"n", "ordered"})
+    ->ArgsProduct({{120000}, {0, 1}});
 
 void BM_CellBinning(benchmark::State& state) {
   System sys(static_cast<std::uint64_t>(state.range(0)), false);

@@ -32,6 +32,7 @@ class CellGrid {
                  std::array<bool, D> wrap) {
     lo_ = lo;
     wrap_ = wrap;
+    identity_order_ = false;
     ncells_ = 1;
     for (int d = 0; d < D; ++d) {
       const double extent = hi[d] - lo[d];
@@ -57,6 +58,7 @@ class CellGrid {
   int ncells() const { return ncells_; }
   const std::array<int, D>& dims() const { return dims_; }
   const Vec<D>& origin() const { return lo_; }
+  const Vec<D>& cell_size() const { return cell_size_; }
   bool wrapped(int d) const { return wrap_[static_cast<std::size_t>(d)]; }
 
   // -- slab queries (the colored force reduction's geometry) ----------------
@@ -100,18 +102,25 @@ class CellGrid {
   // the upper boundary or having drifted marginally outside are clamped).
   std::int32_t cell_of(const Vec<D>& x) const {
     std::array<int, D> c{};
-    for (int d = 0; d < D; ++d) {
-      int k = static_cast<int>((x[d] - lo_[d]) * inv_cell_[d]);
-      if (k < 0) k = 0;
-      if (k >= dims_[d]) k = dims_[d] - 1;
-      c[d] = k;
-    }
+    for (int d = 0; d < D; ++d) c[d] = axis_cell(d, x[d]);
     return cell_index(c);
   }
 
-  // Counting-sort the first n particles of pos into cells.
+  // Cell coordinate along axis d of the coordinate value x, clamped.
+  // Monotone in x, so the cells holding every particle with x below (or
+  // above) a threshold are the layers up to (or from) axis_cell(d, t).
+  int axis_cell(int d, double x) const {
+    int k = static_cast<int>((x - lo_[d]) * inv_cell_[d]);
+    if (k < 0) k = 0;
+    if (k >= dims_[d]) k = dims_[d] - 1;
+    return k;
+  }
+
+  // Counting-sort the first n particles of pos into cells.  The sort is
+  // stable: within a cell, particle indices ascend.
   void bin(std::span<const Vec<D>> pos, std::size_t n) {
     assert(n <= pos.size());
+    identity_order_ = false;
     starts_.assign(static_cast<std::size_t>(ncells_) + 1, 0);
     cell_of_particle_.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -145,6 +154,7 @@ class CellGrid {
       bin(pos, n);
       return;
     }
+    identity_order_ = false;
     const auto ncells = static_cast<std::size_t>(ncells_);
     starts_.resize(ncells + 1);
     cell_of_particle_.resize(n);
@@ -215,7 +225,17 @@ class CellGrid {
   // valid with the identity ordering; this avoids a second bin() pass.
   void reset_order_to_identity() {
     std::iota(order_.begin(), order_.end(), 0);
+    identity_order_ = true;
   }
+  // True from reset_order_to_identity() until the next bin: entry k of the
+  // cell order is particle k.
+  bool identity_order() const { return identity_order_; }
+
+  static constexpr std::size_t kHalfStencilSize = [] {
+    std::size_t t = 1;
+    for (int d = 0; d < D; ++d) t *= 3;
+    return (t - 1) / 2;
+  }();
 
   // The (3^D - 1)/2 "half stencil" neighbour offsets: every offset in
   // {-1,0,1}^D whose first non-zero component is positive.  Visiting each
@@ -284,6 +304,7 @@ class CellGrid {
   std::array<bool, D> wrap_{};
   int ncells_ = 0;
   int cells_per_slab_ = 0;
+  bool identity_order_ = false;
   std::vector<std::int32_t> starts_;   // ncells + 1 prefix offsets
   std::vector<std::int32_t> order_;    // cell-ordered particle indices
   std::vector<std::int32_t> cursor_;   // scratch for counting sort

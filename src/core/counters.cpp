@@ -95,17 +95,6 @@ double Counters::imbalance_ratio(const std::vector<std::uint64_t>& cost) {
          static_cast<double>(total);
 }
 
-void Counters::record_link_gap(std::uint64_t gap) {
-  link_gap_sum += gap;
-  ++link_gap_count;
-  int b = 0;
-  while ((gap >> 1) != 0 && b < kGapBuckets - 1) {
-    gap >>= 1;
-    ++b;
-  }
-  ++link_gap_hist[b];
-}
-
 double Counters::gap_fraction_above(double capacity) const {
   if (link_gap_count == 0) return 0.0;
   if (capacity <= 0.0) return 1.0;

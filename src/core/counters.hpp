@@ -8,6 +8,8 @@
 // the machine cost model works from measured inputs rather than estimates.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -44,6 +46,14 @@ struct Counters {
   // exceeds a machine's cache capacity straight off this histogram.
   static constexpr int kGapBuckets = 40;
   std::uint64_t link_gap_hist[kGapBuckets] = {};
+  // Histogram bucket of one gap: floor(log2(gap)), gaps 0 and 1 in bucket
+  // 0, everything from 2^(kGapBuckets-1) up in the last bucket.  One
+  // bit_width instead of a shift loop keeps the per-link tally cheap
+  // enough to run inside the link build.
+  static constexpr int gap_bucket(std::uint64_t gap) {
+    return std::min(static_cast<int>(std::bit_width(gap | 1)) - 1,
+                    kGapBuckets - 1);
+  }
 
   // -- shared-memory runtime (cumulative) -----------------------------------
   std::uint64_t parallel_regions = 0;  // fork/join parallel constructs
@@ -154,7 +164,11 @@ struct Counters {
   double mean_link_gap() const;
 
   // Record one link gap into the sum and histogram.
-  void record_link_gap(std::uint64_t gap);
+  void record_link_gap(std::uint64_t gap) {
+    link_gap_sum += gap;
+    ++link_gap_count;
+    ++link_gap_hist[gap_bucket(gap)];
+  }
 
   // Fraction of recorded link gaps strictly above `capacity` (measured in
   // particles); the cache model's miss-probability estimator.

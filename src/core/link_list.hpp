@@ -12,13 +12,17 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/cell_grid.hpp"
 #include "core/counters.hpp"
+#include "core/pair_disp.hpp"
 #include "util/vec.hpp"
 
 namespace hdem {
@@ -115,16 +119,41 @@ struct ChunkMap {
   }
 };
 
+// Allocator whose value-initialisation is default-initialisation: growing
+// a link buffer leaves the new slots unwritten (Link is trivial), so the
+// link kernel can size a buffer for a cell's worst case without paying to
+// zero slots it is about to overwrite.
+template <class T>
+struct UninitAllocator : std::allocator<T> {
+  template <class U>
+  struct rebind {
+    using other = UninitAllocator<U>;
+  };
+  UninitAllocator() = default;
+  template <class U>
+  UninitAllocator(const UninitAllocator<U>&) noexcept {}
+  template <class U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <class U, class... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
+using LinkVector = std::vector<Link, UninitAllocator<Link>>;
+
 struct LinkList {
-  std::vector<Link> links;
+  LinkVector links;
   std::size_t n_core = 0;  // links[0, n_core) have both ends core
   ColorPlan plan;          // rebuilt with the list (see build_color_plan)
 
   // Rebuild scratch, reused across rebuilds to avoid per-rebuild
   // allocations: halo links collected before splicing, the colored
   // reorder's temporaries, and its per-chunk counting-sort offsets.
-  std::vector<Link> halo_scratch;
-  std::vector<Link> sort_scratch;
+  LinkVector halo_scratch;
+  LinkVector sort_scratch;
   std::vector<std::int32_t> chunk_scratch;
   std::vector<std::size_t> start_scratch;
 
@@ -140,62 +169,263 @@ struct LinkList {
   }
 };
 
-// Generate links originating from cells [cell_lo, cell_hi).  Particles
-// with index < ncore are core; the rest are halo copies.  `disp(xi, xj)`
-// yields the displacement for the distance test (minimum-image in serial
-// periodic runs, plain subtraction in block runs where halo copies carry
-// shifted coordinates).  Core-core links are appended to out_core,
-// core-halo links (core end first) to out_halo; halo-halo pairs are
-// dropped.  This per-range form is what the threaded driver parallelises
-// over cells, exactly as the paper's OpenMP code does.
-template <int D, class Disp>
-void build_links_range(const CellGrid<D>& grid, std::span<const Vec<D>> pos,
-                       std::size_t ncore, double rc, Disp&& disp,
-                       std::int32_t cell_lo, std::int32_t cell_hi,
-                       std::vector<Link>& out_core,
-                       std::vector<Link>& out_halo) {
-  const double rc2 = rc * rc;
+// Cell-ordered snapshot of a binned particle set — the link kernel's
+// input, a struct of two arrays: entry k of the grid's cell order is
+// particle id[k] at position x[k], so every cell's particles form one
+// contiguous run [starts[c], starts[c+1]) of both.  Within a run the ids
+// ascend (the counting sort is stable), so core particles (id < ncore)
+// precede halo copies.
+template <int D>
+struct CellSnapshot {
+  std::span<const Vec<D>> x;
+  std::span<const std::int32_t> id;
+};
 
-  auto consider = [&](std::int32_t a, std::int32_t b) {
-    const bool a_halo = static_cast<std::size_t>(a) >= ncore;
-    const bool b_halo = static_cast<std::size_t>(b) >= ncore;
-    if (a_halo && b_halo) return;  // owned (as core-halo) by other blocks
-    const Vec<D> d = disp(pos[static_cast<std::size_t>(a)],
-                          pos[static_cast<std::size_t>(b)]);
-    if (norm2(d) >= rc2) return;
-    if (!a_halo && !b_halo) {
-      out_core.push_back({a, b});
-    } else if (a_halo) {
-      out_halo.push_back({b, a});  // core end first
-    } else {
-      out_halo.push_back({a, b});
-    }
-  };
-
-  const auto& stencil = CellGrid<D>::half_stencil();
-  for (std::int32_t c = cell_lo; c < cell_hi; ++c) {
-    const auto in_c = grid.cell_particles(c);
-    // Intra-cell pairs: originate from the lower list position, visiting
-    // each unordered pair exactly once.
-    for (std::size_t a = 0; a < in_c.size(); ++a) {
-      for (std::size_t b = a + 1; b < in_c.size(); ++b) {
-        consider(in_c[a], in_c[b]);
-      }
-    }
-    // Cross-cell pairs via the half stencil: each unordered cell pair is
-    // visited exactly once.
-    for (const auto& off : stencil) {
-      const std::int32_t nb = grid.neighbor(c, off);
-      if (nb < 0) continue;
-      const auto in_nb = grid.cell_particles(nb);
-      for (const std::int32_t a : in_c) {
-        for (const std::int32_t b : in_nb) {
-          consider(a, b);
-        }
-      }
-    }
+// Gather x[k] = pos[order[k]] for the cell-order entries [lo, hi).
+template <int D>
+void gather_cell_positions(const CellGrid<D>& grid,
+                           std::span<const Vec<D>> pos, std::vector<Vec<D>>& buf,
+                           std::size_t lo, std::size_t hi) {
+  const std::int32_t* order = grid.order().data();
+  for (std::size_t k = lo; k < hi; ++k) {
+    buf[k] = pos[static_cast<std::size_t>(order[k])];
   }
 }
+
+// Snapshot the particles binned in `grid`.  After the store was permuted
+// into cell order the positions already are the snapshot; otherwise they
+// are gathered into `buf` (the drivers lend the store's reorder scratch,
+// idle between reorders, so the snapshot adds no memory).
+template <int D>
+CellSnapshot<D> snapshot_cells(const CellGrid<D>& grid,
+                               std::span<const Vec<D>> pos,
+                               std::vector<Vec<D>>& buf) {
+  const std::size_t n = grid.order().size();
+  if (grid.identity_order()) return {pos.first(n), grid.order()};
+  buf.resize(n);
+  gather_cell_positions(grid, pos, buf, 0, n);
+  return {std::span<const Vec<D>>(buf.data(), n), grid.order()};
+}
+
+namespace detail {
+
+// Test xa against the snapshot entries [b0, b1) and append a link for
+// every one within the list radius: {ia, id[b]}, or {id[b], ia} when Flip
+// (core end first).  Every candidate is written and only accepted ones
+// advance the cursor, so the loop has no data-dependent branch; `out`
+// needs room for b1 - b0 links.  The distance is norm2(disp(xa, xb))
+// bit for bit (Image = false drops the minimum image where it provably
+// cannot fire).
+template <int D, bool Image, bool Flip>
+inline Link* scan_links(const Vec<D>& xa, std::int32_t ia, const Vec<D>* x,
+                        const std::int32_t* id, std::size_t b0, std::size_t b1,
+                        double rc2, const PairDisp<D>& disp, Link* out) {
+  for (std::size_t b = b0; b < b1; ++b) {
+    Vec<D> d = xa - x[b];
+    if constexpr (Image) {
+      for (int k = 0; k < D; ++k) d[k] = disp.image(d[k], k);
+    }
+    *out = Flip ? Link{id[b], ia} : Link{ia, id[b]};
+    out += norm2(d) < rc2 ? 1 : 0;
+  }
+  return out;
+}
+
+// A cell's snapshot run split at the core/halo boundary: [b, h) core,
+// [h, e) halo.
+struct CellRun {
+  std::size_t b, h, e;
+};
+
+// Append cursor into a link buffer: slots [p, end) are writable (grown
+// uninitialised), so a room check is one pointer compare.
+struct LinkCursor {
+  LinkVector* buf;
+  Link* p;
+  Link* end;
+
+  explicit LinkCursor(LinkVector& b)
+      : buf(&b), p(b.data() + b.size()), end(p) {}
+  void room(std::size_t extra) {
+    if (static_cast<std::size_t>(end - p) >= extra) return;
+    const auto n = static_cast<std::size_t>(p - buf->data());
+    buf->resize(n);  // keeps only the written prefix if this reallocates
+    // A little slack spares the next few run pairs a resize; growth stays
+    // the vector's own (geometric) policy, so capacity tracks the list.
+    buf->resize(n + 2 * extra + 64);
+    p = buf->data() + n;
+    end = buf->data() + buf->size();
+  }
+  void finish() { buf->resize(static_cast<std::size_t>(p - buf->data())); }
+};
+
+// Emit the links between cell run `self` and neighbour run `r` (or, with
+// intra, the pairs within `self`), in (a, b) order within each stream:
+// core a against the core and halo parts, then halo a against the core
+// part.  Halo-halo pairs are dropped; within a cell a halo entry only
+// precedes halo entries, so intra pairs never start at one.
+template <int D, bool Image, bool Intra>
+inline void link_runs(const Vec<D>* x, const std::int32_t* id, double rc2,
+                      const PairDisp<D>& disp, const CellRun& self,
+                      const CellRun& r, LinkCursor& core, LinkCursor& halo) {
+  const std::size_t nc = self.h - self.b;
+  core.room(Intra ? nc * (nc - 1) / 2 : nc * (r.h - r.b));  // 0 if nc == 0
+  halo.room(Intra ? nc * (r.e - r.h)
+                  : nc * (r.e - r.h) + (self.e - self.h) * (r.h - r.b));
+  Link* pc = core.p;
+  Link* ph = halo.p;
+  for (std::size_t a = self.b; a < self.h; ++a) {
+    pc = scan_links<D, Image, false>(x[a], id[a], x, id, Intra ? a + 1 : r.b,
+                                     r.h, rc2, disp, pc);
+    ph = scan_links<D, Image, false>(x[a], id[a], x, id, r.h, r.e, rc2, disp,
+                                     ph);
+  }
+  if constexpr (!Intra) {
+    for (std::size_t a = self.h; a < self.e; ++a) {
+      ph = scan_links<D, Image, true>(x[a], id[a], x, id, r.b, r.h, rc2, disp,
+                                      ph);
+    }
+  }
+  core.p = pc;
+  halo.p = ph;
+}
+
+template <int D, bool Image>
+inline void link_cell(const CellGrid<D>& grid, const CellSnapshot<D>& cells,
+                      std::size_t ncore, double rc2, const PairDisp<D>& disp,
+                      const std::int32_t* delta, std::int32_t c,
+                      bool interior, LinkCursor& core, LinkCursor& halo) {
+  const std::int32_t* starts = grid.starts().data();
+  const Vec<D>* x = cells.x.data();
+  const std::int32_t* id = cells.id.data();
+  auto run_of = [&](std::int32_t cell) {
+    const auto b = static_cast<std::size_t>(starts[cell]);
+    const auto e = static_cast<std::size_t>(starts[cell + 1]);
+    std::size_t h = e;
+    while (h > b && static_cast<std::size_t>(id[h - 1]) >= ncore) --h;
+    return CellRun{b, h, e};
+  };
+  const CellRun self = run_of(c);
+  if (self.e == self.b) return;
+  link_runs<D, Image, true>(x, id, rc2, disp, self, self, core, halo);
+  const auto& stencil = CellGrid<D>::half_stencil();
+  for (std::size_t s = 0; s < CellGrid<D>::kHalfStencilSize; ++s) {
+    const std::int32_t nb =
+        interior ? c + delta[s] : grid.neighbor(c, stencil[s]);
+    if (nb < 0) continue;
+    const CellRun r = run_of(nb);
+    if (r.e == r.b) continue;
+    link_runs<D, Image, false>(x, id, rc2, disp, self, r, core, halo);
+  }
+}
+
+template <int D>
+void link_cells(const CellGrid<D>& grid, const CellSnapshot<D>& cells,
+                std::size_t ncore, double rc2, const PairDisp<D>& disp,
+                std::int32_t cell_lo, std::int32_t cell_hi,
+                LinkVector& out_core, LinkVector& out_halo) {
+  const auto& stencil = CellGrid<D>::half_stencil();
+  constexpr std::size_t kStencil = CellGrid<D>::kHalfStencilSize;
+  const std::array<int, D>& dims = grid.dims();
+  // Flat stencil deltas: for a cell whose every stencil neighbour lies
+  // inside the grid, neighbour = cell + delta (row-major strides).
+  std::array<std::int32_t, kStencil> delta{};
+  for (std::size_t s = 0; s < kStencil; ++s) {
+    std::int32_t stride = 1;
+    for (int d = D - 1; d >= 0; --d) {
+      delta[s] += stencil[s][static_cast<std::size_t>(d)] * stride;
+      stride *= dims[static_cast<std::size_t>(d)];
+    }
+  }
+  // Minimum image is the identity for two particles in the same or
+  // adjacent cells when neither cell is an edge cell (only edge cells
+  // collect clamped or wrapped-around particles), provided two cells span
+  // at most half the box on every axis: |d| < 2 cells <= box / 2 cannot
+  // trip the image test.  Such pairs take the plain subtraction — the
+  // same bits, without the image compares.
+  bool image_free_inside = true;
+  for (int d = 0; d < D; ++d) {
+    image_free_inside = image_free_inside &&
+                        4.0 * grid.cell_size()[d] * (1.0 + 1e-9) <= disp.box[d];
+  }
+  LinkCursor core(out_core), halo(out_halo);
+  std::array<int, D> cc = grid.coords_of(cell_lo);
+  for (std::int32_t c = cell_lo; c < cell_hi; ++c) {
+    // The half stencil steps 0 or +1 along axis 0 and -1..+1 along the
+    // others.  Interior cells find their neighbours by flat delta; edge
+    // cells (and wrapped neighbours) take the checked path.  A deep cell
+    // also has no edge cell among its neighbours.
+    bool interior = cc[0] + 1 < dims[0];
+    bool deep = cc[0] >= 1 && cc[0] + 2 < dims[0];
+    for (int d = 1; d < D; ++d) {
+      interior = interior && cc[d] >= 1 && cc[d] + 1 < dims[d];
+      deep = deep && cc[d] >= 2 && cc[d] + 2 < dims[d];
+    }
+    for (int d = D - 1; d >= 0; --d) {  // odometer step to the next cell
+      if (++cc[d] < dims[d]) break;
+      cc[d] = 0;
+    }
+    if (disp.periodic && !(deep && image_free_inside)) {
+      link_cell<D, true>(grid, cells, ncore, rc2, disp, delta.data(), c,
+                         interior, core, halo);
+    } else {
+      link_cell<D, false>(grid, cells, ncore, rc2, disp, delta.data(), c,
+                          interior, core, halo);
+    }
+  }
+  core.finish();
+  halo.finish();
+}
+
+}  // namespace detail
+
+// Generate links originating from cells [cell_lo, cell_hi).  Particles
+// with index < ncore are core; the rest are halo copies.  `disp` is the
+// force kernel's pair displacement: minimum image in serial periodic
+// runs, plain subtraction in block runs where halo copies carry shifted
+// coordinates.  Core-core links are appended to out_core, core-halo links
+// (core end first) to out_halo; halo-halo pairs are dropped.  This
+// per-range form is what the threaded build parallelises over cells,
+// exactly as the paper's OpenMP code does.
+//
+// Each stream holds its links in (cell, stencil offset, first end,
+// second end) generation order: the order of a plain nested loop over
+// cell_particles() and the stencil, which tests/test_link_list.cpp keeps
+// as the oracle this kernel must match byte for byte.
+template <int D>
+void build_links_range(const CellGrid<D>& grid, const CellSnapshot<D>& cells,
+                       std::size_t ncore, double rc, const PairDisp<D>& disp,
+                       std::int32_t cell_lo, std::int32_t cell_hi,
+                       LinkVector& out_core, LinkVector& out_halo) {
+  detail::link_cells(grid, cells, ncore, rc * rc, disp, cell_lo, cell_hi,
+                     out_core, out_halo);
+}
+
+// Link-gap statistics of a set of links (see record_link_stats).  Integer
+// tallies, so per-thread tallies merged in any order give the serial
+// totals exactly.  Cache-line aligned: the fused build keeps one per
+// thread.
+struct alignas(64) LinkGapTally {
+  std::uint64_t sum = 0;
+  std::uint64_t count = 0;
+  std::uint64_t hist[Counters::kGapBuckets] = {};
+
+  void add(std::span<const Link> links) {
+    for (const Link& l : links) {
+      const auto gap =
+          static_cast<std::uint64_t>(l.i > l.j ? l.i - l.j : l.j - l.i);
+      sum += gap;
+      ++hist[Counters::gap_bucket(gap)];
+    }
+    count += links.size();
+  }
+
+  void merge_into(Counters& c) const {
+    c.link_gap_sum += sum;
+    c.link_gap_count += count;
+    for (int b = 0; b < Counters::kGapBuckets; ++b) c.link_gap_hist[b] += hist[b];
+  }
+};
 
 // Record the current list's size and locality statistics.  Accumulates
 // (callers owning several blocks zero links_core/links_halo once per
@@ -208,10 +438,9 @@ void build_links_range(const CellGrid<D>& grid, std::span<const Vec<D>> pos,
 inline void record_link_stats(const LinkList& list, Counters& counters) {
   counters.links_core += list.n_core;
   counters.links_halo += list.size() - list.n_core;
-  for (const Link& l : list.core()) {
-    counters.record_link_gap(
-        static_cast<std::uint64_t>(l.i > l.j ? l.i - l.j : l.j - l.i));
-  }
+  LinkGapTally tally;
+  tally.add(list.core());
+  tally.merge_into(counters);
 }
 
 // Build the list's ColorPlan: assign every link to its chunk, reorder the
@@ -274,19 +503,29 @@ void build_color_plan(LinkList& list, const CellGrid<D>& grid,
   reorder_section(list.n_core, list.links.size(), plan.halo_lo, plan.halo_hi);
 }
 
-// Serial convenience wrapper: build the whole list in one pass, then group
-// it into color classes.
-template <int D, class Disp>
-void build_links(LinkList& out, const CellGrid<D>& grid,
-                 std::span<const Vec<D>> pos, std::size_t ncore, double rc,
-                 Disp&& disp, Counters* counters = nullptr) {
+// Generate the whole list in one pass: core links, then core-halo links
+// (the color plan is left to build_color_plan).
+template <int D>
+void generate_links(LinkList& out, const CellGrid<D>& grid,
+                    const CellSnapshot<D>& cells, std::size_t ncore, double rc,
+                    const PairDisp<D>& disp) {
   out.clear();
   out.halo_scratch.clear();
-  build_links_range(grid, pos, ncore, rc, disp, 0, grid.ncells(), out.links,
+  build_links_range(grid, cells, ncore, rc, disp, 0, grid.ncells(), out.links,
                     out.halo_scratch);
   out.n_core = out.links.size();
   out.links.insert(out.links.end(), out.halo_scratch.begin(),
                    out.halo_scratch.end());
+}
+
+// Serial convenience wrapper: snapshot, build the whole list in one pass,
+// then group it into color classes.
+template <int D>
+void build_links(LinkList& out, const CellGrid<D>& grid,
+                 std::span<const Vec<D>> pos, std::size_t ncore, double rc,
+                 const PairDisp<D>& disp, Counters* counters = nullptr) {
+  std::vector<Vec<D>> buf;
+  generate_links(out, grid, snapshot_cells(grid, pos, buf), ncore, rc, disp);
   build_color_plan(out, grid, pos);
   if (counters != nullptr) record_link_stats(out, *counters);
 }
@@ -295,7 +534,8 @@ void build_links(LinkList& out, const CellGrid<D>& grid,
 // its capacity across rebuilds (the rebuild hot path stays allocation-free
 // at steady state).
 struct FusedBuildScratch {
-  std::vector<std::vector<Link>> core_buf, halo_buf;  // per thread
+  std::vector<LinkVector> core_buf, halo_buf;  // per thread
+  std::vector<LinkGapTally> tally;             // per thread
   // Flattened [thread * nchunks + chunk] tables: links generated per
   // (thread, chunk), and each segment's destination offset in the list.
   std::vector<std::size_t> core_count, halo_count;
@@ -306,6 +546,8 @@ struct FusedBuildScratch {
 // one pass over the cells, producing byte-identical links/n_core/plan to
 // build_links for any team size.
 //
+// The team first fills the cell-ordered snapshot (into `cell_buf`, see
+// snapshot_cells; skipped when the store is already in cell order).
 // Every link's chunk is known from its originating cell alone: the half
 // stencil steps 0 or +1 along axis 0, so the origin always holds the lower
 // of the two endpoint slabs — and the periodic-seam pair (endpoint slabs
@@ -322,11 +564,17 @@ struct FusedBuildScratch {
 // positions.  Ordering matches build_color_plan's stable counting sort
 // because both enumerate links in (rank, cell, generation) order: within a
 // chunk, threads in tid order own ascending cell ranges.
-template <int D, class Team, class Disp>
+//
+// With `counters`, the list's statistics are recorded as record_link_stats
+// would: each thread tallies the core links it generated while the
+// segments are placed, and the tallies merge afterwards in tid order.
+template <int D, class Team>
 void build_links_fused(LinkList& out, const CellGrid<D>& grid,
                        std::span<const Vec<D>> pos, std::size_t ncore,
-                       double rc, Disp&& disp, Team& team,
-                       FusedBuildScratch& scratch) {
+                       double rc, const PairDisp<D>& disp, Team& team,
+                       FusedBuildScratch& scratch,
+                       std::vector<Vec<D>>& cell_buf,
+                       Counters* counters = nullptr) {
   out.clear();
   const ChunkMap cm = ChunkMap::of(grid);
   const int t_count = team.size();
@@ -345,18 +593,28 @@ void build_links_fused(LinkList& out, const CellGrid<D>& grid,
 
   scratch.core_buf.resize(tsz);
   scratch.halo_buf.resize(tsz);
+  scratch.tally.assign(tsz, LinkGapTally{});
   scratch.core_count.assign(tsz * nsz, 0);
   scratch.halo_count.assign(tsz * nsz, 0);
   scratch.core_dst.resize(tsz * nsz);
   scratch.halo_dst.resize(tsz * nsz);
 
-  // Static cell split, same convention as smp::static_block (remainder
-  // spread over the first members).  Correctness only needs contiguous
-  // ascending ranges; matching the team's convention keeps the split
-  // aligned with the force pass's cell-derived work.
-  auto cell_range = [&](int tid) {
-    const std::size_t chunk = ncells / tsz;
-    const std::size_t rem = ncells % tsz;
+  const std::size_t nentries = grid.order().size();
+  const bool gather = !grid.identity_order();
+  if (gather) cell_buf.resize(nentries);
+  const CellSnapshot<D> cells =
+      gather ? CellSnapshot<D>{std::span<const Vec<D>>(cell_buf.data(),
+                                                       nentries),
+                               grid.order()}
+             : CellSnapshot<D>{pos.first(nentries), grid.order()};
+
+  // Static split of [0, total), same convention as smp::static_block
+  // (remainder spread over the first members).  Correctness only needs
+  // contiguous ascending cell ranges; matching the team's convention keeps
+  // the split aligned with the force pass's cell-derived work.
+  auto split = [&](std::size_t total, int tid) {
+    const std::size_t chunk = total / tsz;
+    const std::size_t rem = total % tsz;
     const auto id = static_cast<std::size_t>(tid);
     const std::size_t lo = chunk * id + (id < rem ? id : rem);
     return std::pair<std::size_t, std::size_t>{
@@ -365,7 +623,12 @@ void build_links_fused(LinkList& out, const CellGrid<D>& grid,
 
   team.parallel([&](int tid) {
     const auto t = static_cast<std::size_t>(tid);
-    const auto [lo, hi] = cell_range(tid);
+    if (gather) {
+      const auto [k_lo, k_hi] = split(nentries, tid);
+      gather_cell_positions(grid, pos, cell_buf, k_lo, k_hi);
+      team.barrier();
+    }
+    const auto [lo, hi] = split(ncells, tid);
     auto& cbuf = scratch.core_buf[t];
     auto& hbuf = scratch.halo_buf[t];
     cbuf.clear();
@@ -383,7 +646,7 @@ void build_links_fused(LinkList& out, const CellGrid<D>& grid,
         const std::size_t sub_lo = std::max(lo, k_lo);
         const std::size_t sub_hi = std::min(hi, k_hi);
         const std::size_t c0 = cbuf.size(), h0 = hbuf.size();
-        build_links_range(grid, pos, ncore, rc, disp,
+        build_links_range(grid, cells, ncore, rc, disp,
                           static_cast<std::int32_t>(sub_lo),
                           static_cast<std::int32_t>(sub_hi), cbuf, hbuf);
         scratch.core_count[t * nsz + static_cast<std::size_t>(k)] =
@@ -436,7 +699,13 @@ void build_links_fused(LinkList& out, const CellGrid<D>& grid,
       csrc += cn;
       hsrc += hn;
     }
+    if (counters != nullptr) scratch.tally[t].add(cbuf);
   });
+  if (counters != nullptr) {
+    counters->links_core += out.n_core;
+    counters->links_halo += out.size() - out.n_core;
+    for (const LinkGapTally& tally : scratch.tally) tally.merge_into(*counters);
+  }
 }
 
 }  // namespace hdem

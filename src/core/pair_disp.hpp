@@ -43,6 +43,14 @@ struct PairDisp {
     return d;
   }
 
+  // Minimum image of one raw component as a select on the original d —
+  // the same bits as the else-if chain above, without its branches (the
+  // link kernel's per-candidate form).
+  double image(double d, int k) const {
+    const double l = box[k];
+    return d > 0.5 * l ? d - l : (d < -0.5 * l ? d + l : d);
+  }
+
   // Packed form: minimum-image one component of a pack of raw xi - xj
   // displacements.  Lane-identical to the scalar chain above.
   template <class P>

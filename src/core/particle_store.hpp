@@ -86,6 +86,11 @@ class ParticleStore {
   std::span<const Vec<D>> cpositions() const { return pos_; }
   std::span<const Vec<D>> cvelocities() const { return vel_; }
 
+  // The reorder's gather buffer.  It is idle between reorders, so the link
+  // build borrows it for its cell-ordered position snapshot (see
+  // snapshot_cells) rather than holding a buffer of its own.
+  std::vector<Vec<D>>& gather_scratch() { return scratch_; }
+
   // Reorder the first n particles so that new index k holds old particle
   // perm[k].  perm must be a permutation of [0, n); n <= size().  Forces
   // are not carried (they are recomputed every step after a reorder).

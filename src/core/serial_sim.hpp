@@ -132,22 +132,15 @@ class SerialSim {
       ++counters_.reorders;
       counters_.rebuild_reorder_ns += elapsed_ns(t);
     }
-    auto disp = [this](const Vec<D>& a, const Vec<D>& b) {
-      return boundary_.displacement(a, b);
-    };
     counters_.links_core = 0;
     counters_.links_halo = 0;
     {
       trace::Scope gen_scope(trace::Phase::kLinkGen);
       Timer t;
-      links_.clear();
-      links_.halo_scratch.clear();
-      build_links_range(grid_, store_.cpositions(), store_.size(),
-                        cfg_.list_radius(), disp, 0, grid_.ncells(),
-                        links_.links, links_.halo_scratch);
-      links_.n_core = links_.links.size();
-      links_.links.insert(links_.links.end(), links_.halo_scratch.begin(),
-                          links_.halo_scratch.end());
+      const auto cells = snapshot_cells(grid_, store_.cpositions(),
+                                        store_.gather_scratch());
+      generate_links(links_, grid_, cells, store_.size(), cfg_.list_radius(),
+                     boundary_.pair_disp());
       counters_.rebuild_linkgen_ns += elapsed_ns(t);
     }
     {

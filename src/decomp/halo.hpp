@@ -246,6 +246,9 @@ class HaloExchanger {
   // Rebuild every block's halo templates and perform the initial exchange,
   // appending halo copies to each store.  Call after migration (and after
   // any particle reordering) while each store holds core particles only.
+  // A block grid holding a binning of exactly ncore particles must be the
+  // binning of the current core (MpSim's rebuild leaves it so): template
+  // selection then scans only the face cell layers (see select_near).
   void build_templates(std::vector<BlockDomain<D>>& blocks, mp::Comm& comm,
                        Counters& counters) {
     index_blocks(blocks);
@@ -263,13 +266,7 @@ class HaloExchanger {
           auto& side = b.halo[d][s];
           configure_side(b, d, s, side);
           if (side.nb_block < 0) continue;
-          side.send.clear();
-          const auto pos = b.store.cpositions();
-          for (std::size_t idx = 0; idx < pos.size(); ++idx) {
-            const double x = pos[idx][d];
-            const bool near = s == 0 ? x < b.lo[d] + rc_ : x >= b.hi[d] - rc_;
-            if (near) side.send.add(static_cast<std::int32_t>(idx));
-          }
+          select_near(b, d, s, side.send);
           dispatch(comm, counters, b, d, s, side);
         }
       }
@@ -391,6 +388,59 @@ class HaloExchanger {
       side.shift = bc_.box()[d];
     } else if (s == 1 && b.coords[d] == layout_->block_dims()[d] - 1) {
       side.shift = -bc_.box()[d];
+    }
+  }
+
+  // Phase A's send template for face (d, s): every particle within rc of
+  // the face, in ascending index order.  When b.grid holds the binning of
+  // exactly the core particles (the driver bins them just before building
+  // templates) only the cell layers that can reach the face are scanned —
+  // per outer row one contiguous run of the cell order — and the halo
+  // copies appended by earlier dimensions follow by a plain scan.
+  // Otherwise every particle is tested.
+  void select_near(const BlockDomain<D>& b, int d, int s,
+                   mp::IndexedType& send) {
+    send.clear();
+    const auto pos = b.store.cpositions();
+    const double t = s == 0 ? b.lo[d] + rc_ : b.hi[d] - rc_;
+    auto near = [&](std::size_t idx) {
+      const double x = pos[idx][d];
+      return s == 0 ? x < t : x >= t;
+    };
+    std::size_t tail = 0;
+    const CellGrid<D>& g = b.grid;
+    if (b.ncore > 0 && g.ncells() > 0 && g.order().size() == b.ncore) {
+      const auto& dims = g.dims();
+      const int k0 = s == 0 ? 0 : g.axis_cell(d, t);
+      const int k1 = s == 0 ? g.axis_cell(d, t) : dims[d] - 1;
+      std::size_t inner = 1, outer = 1;
+      for (int e = 0; e < D; ++e) {
+        if (e < d) outer *= static_cast<std::size_t>(dims[e]);
+        if (e > d) inner *= static_cast<std::size_t>(dims[e]);
+      }
+      const auto& starts = g.starts();
+      const auto& order = g.order();
+      near_scratch_.clear();
+      for (std::size_t o = 0; o < outer; ++o) {
+        const std::size_t row = o * static_cast<std::size_t>(dims[d]);
+        const auto c_lo = (row + static_cast<std::size_t>(k0)) * inner;
+        const auto c_hi = (row + static_cast<std::size_t>(k1) + 1) * inner;
+        for (auto k = static_cast<std::size_t>(starts[c_lo]);
+             k < static_cast<std::size_t>(starts[c_hi]); ++k) {
+          const std::int32_t idx = order[k];
+          if (near(static_cast<std::size_t>(idx))) near_scratch_.push_back(idx);
+        }
+      }
+      // Cell order is index order only once the store has been permuted
+      // into it.
+      if (!g.identity_order()) {
+        std::sort(near_scratch_.begin(), near_scratch_.end());
+      }
+      for (const std::int32_t idx : near_scratch_) send.add(idx);
+      tail = b.ncore;
+    }
+    for (std::size_t idx = tail; idx < pos.size(); ++idx) {
+      if (near(idx)) send.add(static_cast<std::int32_t>(idx));
     }
   }
 
@@ -981,6 +1031,7 @@ class HaloExchanger {
       recv_plan_;
   std::unordered_map<int, std::size_t> local_of_;
   std::unordered_map<std::uint64_t, std::vector<Vec<D>>> local_payloads_;
+  std::vector<std::int32_t> near_scratch_;  // select_near's core picks
   // Swap-phase state, reused across iterations (no per-message allocation
   // on the hot path).
   std::vector<Vec<D>> pack_scratch_;

@@ -404,7 +404,9 @@ class MpSim {
     counters_.links_halo = 0;
     counters_.halo_particles = 0;
     counters_.particles = 0;
-    auto disp = [](const Vec<D>& a, const Vec<D>& b) { return a - b; };
+    // Halo copies carry shifted coordinates, so the displacement is plain
+    // xi - xj.
+    const PairDisp<D> disp{};
     trace::Scope link_scope(trace::Phase::kLinkBuild, comm_->rank());
     for (std::size_t k = 0; k < blocks_.size(); ++k) {
       auto& b = blocks_[k];
@@ -425,29 +427,27 @@ class MpSim {
         Timer t;
         build_links_fused(b.links, b.grid, b.store.cpositions(), b.ncore,
                           cfg_.list_radius(), disp, *team_,
-                          fused_link_scratch_);
+                          fused_link_scratch_, b.store.gather_scratch(),
+                          &counters_);
         counters_.rebuild_linkgen_ns += elapsed_ns(t);
       } else {
         {
           trace::Scope scope(trace::Phase::kLinkGen, comm_->rank());
           Timer t;
-          b.links.clear();
-          b.links.halo_scratch.clear();
-          build_links_range(b.grid, b.store.cpositions(), b.ncore,
-                            cfg_.list_radius(), disp, 0, b.grid.ncells(),
-                            b.links.links, b.links.halo_scratch);
-          b.links.n_core = b.links.links.size();
-          b.links.links.insert(b.links.links.end(),
-                               b.links.halo_scratch.begin(),
-                               b.links.halo_scratch.end());
+          const auto cells = snapshot_cells(b.grid, b.store.cpositions(),
+                                            b.store.gather_scratch());
+          generate_links(b.links, b.grid, cells, b.ncore, cfg_.list_radius(),
+                         disp);
           counters_.rebuild_linkgen_ns += elapsed_ns(t);
         }
-        trace::Scope scope(trace::Phase::kColorPlan, comm_->rank());
-        Timer t;
-        build_color_plan(b.links, b.grid, b.store.cpositions());
-        counters_.rebuild_colorplan_ns += elapsed_ns(t);
+        {
+          trace::Scope scope(trace::Phase::kColorPlan, comm_->rank());
+          Timer t;
+          build_color_plan(b.links, b.grid, b.store.cpositions());
+          counters_.rebuild_colorplan_ns += elapsed_ns(t);
+        }
+        record_link_stats(b.links, counters_);
       }
-      record_link_stats(b.links, counters_);
       counters_.halo_particles += b.halo_count();
       counters_.particles += b.ncore;
     }

@@ -140,14 +140,11 @@ class SmpSim {
     {
       trace::Scope scope(trace::Phase::kLinkGen);
       Timer t;
-      auto disp = [this](const Vec<D>& a, const Vec<D>& b) {
-        return boundary_.displacement(a, b);
-      };
-      build_links_fused(links_, grid_, store_.cpositions(), store_.size(),
-                        cfg_.list_radius(), disp, team_, fused_scratch_);
       counters_.links_core = 0;
       counters_.links_halo = 0;
-      record_link_stats(links_, counters_);
+      build_links_fused(links_, grid_, store_.cpositions(), store_.size(),
+                        cfg_.list_radius(), boundary_.pair_disp(), team_,
+                        fused_scratch_, store_.gather_scratch(), &counters_);
       counters_.rebuild_linkgen_ns += elapsed_ns(t);
     }
     prepare_accumulator<D>(acc_, team_.size(), links_, store_.size());

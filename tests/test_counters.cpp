@@ -2,6 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <span>
+#include <string>
+#include <vector>
+
+#include "core/cell_grid.hpp"
+#include "core/link_list.hpp"
+#include "smp/thread_team.hpp"
+#include "util/rng.hpp"
+
 namespace hdem {
 namespace {
 
@@ -97,6 +107,74 @@ TEST(Counters, SummaryMentionsKeyFields) {
   const std::string s = c.summary();
   EXPECT_NE(s.find("iterations=3"), std::string::npos);
   EXPECT_NE(s.find("core=17"), std::string::npos);
+}
+
+// The shift loop record_link_gap used before gap_bucket: the reference
+// the bit_width bucketing must reproduce.
+int shift_loop_bucket(std::uint64_t gap) {
+  int b = 0;
+  while ((gap >> 1) != 0 && b < Counters::kGapBuckets - 1) {
+    gap >>= 1;
+    ++b;
+  }
+  return b;
+}
+
+TEST(Counters, GapBucketMatchesShiftLoop) {
+  const std::uint64_t gaps[] = {0,          1,          2,
+                                3,          4,          7,
+                                8,          1ull << 20, 1ull << 39,
+                                1ull << 40, 1ull << 63};
+  for (const std::uint64_t g : gaps) {
+    EXPECT_EQ(Counters::gap_bucket(g), shift_loop_bucket(g)) << "gap=" << g;
+  }
+  // Everything from 2^39 up lands in the cap bucket.
+  for (const std::uint64_t g : {1ull << 39, 1ull << 40, 1ull << 63, ~0ull}) {
+    EXPECT_EQ(Counters::gap_bucket(g), Counters::kGapBuckets - 1);
+  }
+  for (int k = 0; k < 64; ++k) {
+    for (const std::uint64_t g : {(1ull << k) - 1, 1ull << k, (1ull << k) + 1}) {
+      ASSERT_EQ(Counters::gap_bucket(g), shift_loop_bucket(g)) << "gap=" << g;
+    }
+  }
+}
+
+TEST(Counters, FusedTalliesMatchSerialLinkStats) {
+  // The fused build tallies each thread's core links and merges the
+  // tallies in tid order; the totals must equal record_link_stats over
+  // the finished list for every team size.
+  Rng rng(4);
+  const std::size_t n = 3000, ncore = 2400;  // trailing 600 are halo copies
+  std::vector<Vec<3>> pos(n);
+  for (auto& x : pos) x = Vec<3>(rng.uniform(), rng.uniform(), rng.uniform());
+  CellGrid<3> grid;
+  grid.configure(Vec<3>{}, Vec<3>(1.0), 0.08, {false, false, false});
+  grid.bin(pos, n);
+  const PairDisp<3> disp{};
+  LinkList serial;
+  build_links(serial, grid, std::span<const Vec<3>>(pos), ncore, 0.08, disp);
+  Counters want;
+  record_link_stats(serial, want);
+  ASSERT_GT(want.link_gap_count, 0u);
+  ASSERT_GT(want.links_halo, 0u);
+  for (const int t : {1, 2, 4, 7}) {
+    smp::ThreadTeam team(t);
+    LinkList fused;
+    FusedBuildScratch scratch;
+    std::vector<Vec<3>> cell_buf;
+    Counters got;
+    build_links_fused(fused, grid, std::span<const Vec<3>>(pos), ncore, 0.08,
+                      disp, team, scratch, cell_buf, &got);
+    const std::string what = "T=" + std::to_string(t);
+    EXPECT_EQ(got.links_core, want.links_core) << what;
+    EXPECT_EQ(got.links_halo, want.links_halo) << what;
+    EXPECT_EQ(got.link_gap_sum, want.link_gap_sum) << what;
+    EXPECT_EQ(got.link_gap_count, want.link_gap_count) << what;
+    for (int b = 0; b < Counters::kGapBuckets; ++b) {
+      EXPECT_EQ(got.link_gap_hist[b], want.link_gap_hist[b])
+          << what << " bucket " << b;
+    }
+  }
 }
 
 TEST(Counters, HugeGapSaturatesLastBucket) {

@@ -330,5 +330,71 @@ TEST(Halo, RejectsStaleHalos) {
   });
 }
 
+template <int D>
+void check_binned_templates(bool reorder, int nprocs, int blocks_per_proc) {
+  // build_templates scans only the face cell layers when the block grid
+  // holds the core binning; the templates (indices and order) and the
+  // delivered halos must equal the full-scan build's exactly.
+  SimConfig<D> cfg;
+  cfg.box = Vec<D>(1.0);
+  cfg.bc = BoundaryKind::kPeriodic;
+  cfg.seed = 17;
+  const auto layout = DecompLayout<D>::make(nprocs, blocks_per_proc);
+  const auto init = uniform_random_particles(cfg, 1500);
+  mp::run(nprocs, [&](mp::Comm& comm) {
+    auto scanned = make_blocks(layout, cfg, comm.rank(), init);
+    auto binned = make_blocks(layout, cfg, comm.rank(), init);
+    const double rc = cfg.cutoff();
+    for (std::size_t k = 0; k < binned.size(); ++k) {
+      auto& b = binned[k];
+      std::array<bool, D> no_wrap{};
+      b.grid.configure(b.lo - Vec<D>(rc), b.hi + Vec<D>(rc), rc, no_wrap);
+      b.grid.bin(b.store.cpositions(), b.ncore);
+      if (reorder) {
+        scanned[k].store.apply_permutation(b.grid.order(), b.ncore);
+        b.store.apply_permutation(b.grid.order(), b.ncore);
+        b.grid.reset_order_to_identity();
+      }
+    }
+    Boundary<D> bc(cfg.bc, cfg.box);
+    HaloExchanger<D> full(layout, bc, rc), fast(layout, bc, rc);
+    Counters c1, c2;
+    full.build_templates(scanned, comm, c1);
+    fast.build_templates(binned, comm, c2);
+    for (std::size_t k = 0; k < binned.size(); ++k) {
+      const auto& a = scanned[k];
+      const auto& b = binned[k];
+      for (int d = 0; d < D; ++d) {
+        for (int s = 0; s < 2; ++s) {
+          const auto want = a.halo[d][s].send.indices();
+          const auto got = b.halo[d][s].send.indices();
+          ASSERT_TRUE(std::equal(want.begin(), want.end(), got.begin(),
+                                 got.end()))
+              << "block " << b.index << " dim " << d << " side " << s;
+        }
+      }
+      ASSERT_EQ(a.store.size(), b.store.size());
+      for (std::size_t i = b.ncore; i < b.store.size(); ++i) {
+        for (int d = 0; d < D; ++d) {
+          ASSERT_EQ(a.store.pos(i)[d], b.store.pos(i)[d]) << "halo " << i;
+        }
+      }
+    }
+  });
+}
+
+TEST(Halo, BinnedTemplatesMatchFullScan2DReordered) {
+  check_binned_templates<2>(true, 2, 2);
+}
+TEST(Halo, BinnedTemplatesMatchFullScan2DUnordered) {
+  check_binned_templates<2>(false, 2, 2);
+}
+TEST(Halo, BinnedTemplatesMatchFullScan3DReordered) {
+  check_binned_templates<3>(true, 2, 1);
+}
+TEST(Halo, BinnedTemplatesMatchFullScan3DUnordered) {
+  check_binned_templates<3>(false, 1, 4);
+}
+
 }  // namespace
 }  // namespace hdem

@@ -80,6 +80,25 @@ TEST(PointToPoint, EmptyMessage) {
   });
 }
 
+TEST(PointToPoint, EmptyMessageIntoEmptySpan) {
+  // Every receive path must accept an empty payload into storage whose
+  // data() is null (no copy happens; nothing to copy from or to).
+  run(2, [](Comm& comm) {
+    if (comm.rank() == 0) {
+      for (int tag = 1; tag <= 3; ++tag) {
+        comm.send<double>(1, tag, std::vector<double>{});
+      }
+    } else {
+      std::vector<double> none;
+      EXPECT_EQ(comm.recv_into<double>(0, 1, none), 0u);
+      EXPECT_TRUE(comm.recv<double>(0, 2).empty());
+      Request req = comm.irecv<double>(0, 3, none);
+      comm.wait(req);
+      EXPECT_EQ(req.bytes(), 0u);
+    }
+  });
+}
+
 TEST(PointToPoint, SendRecvRingDoesNotDeadlock) {
   constexpr int kRanks = 5;
   run(kRanks, [](Comm& comm) {

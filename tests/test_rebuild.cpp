@@ -119,9 +119,7 @@ TEST(RebuildReorder, ParallelPermutationMatchesSerial) {
 template <int D>
 void expect_same_links(const CellGrid<D>& grid, std::span<const Vec<D>> pos,
                        std::size_t ncore, double rc, const Boundary<D>& bc) {
-  auto disp = [&](const Vec<D>& x, const Vec<D>& y) {
-    return bc.displacement(x, y);
-  };
+  const PairDisp<D> disp = bc.pair_disp();
   LinkList serial;
   build_links(serial, grid, pos, ncore, rc, disp);
   ASSERT_GT(serial.size(), 0u);
@@ -129,7 +127,9 @@ void expect_same_links(const CellGrid<D>& grid, std::span<const Vec<D>> pos,
     smp::ThreadTeam team(t);
     LinkList fused;
     FusedBuildScratch scratch;
-    build_links_fused(fused, grid, pos, ncore, rc, disp, team, scratch);
+    std::vector<Vec<D>> cell_buf;
+    build_links_fused(fused, grid, pos, ncore, rc, disp, team, scratch,
+                      cell_buf);
     ASSERT_EQ(fused.n_core, serial.n_core) << "T=" << t;
     ASSERT_EQ(fused.size(), serial.size()) << "T=" << t;
     for (std::size_t l = 0; l < serial.size(); ++l) {

@@ -41,11 +41,8 @@ struct Fixture {
     wrap.fill(true);
     grid.configure(Vec<D>{}, cfg.box, cfg.cutoff(), wrap);
     grid.bin(store.positions(), store.size());
-    auto disp = [&](const Vec<D>& a, const Vec<D>& b) {
-      return bc.displacement(a, b);
-    };
     build_links(list, grid, store.cpositions(), store.size(), cfg.cutoff(),
-                disp);
+                bc.pair_disp());
   }
 
   ElasticSphere model() const { return {cfg.stiffness, cfg.diameter}; }
