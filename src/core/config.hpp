@@ -3,25 +3,11 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "util/vec.hpp"
 
 namespace hdem {
-
-// HDEM_HALO_DELTA / HDEM_HALO_COALESCE let whole test suites and CI legs
-// run the delta-compressed / coalesced halo swap without touching their
-// flags (the same pattern as HDEM_SKIN and HDEM_SHARED_HALO).
-inline bool halo_delta_env_default() {
-  const char* env = std::getenv("HDEM_HALO_DELTA");
-  return env != nullptr && env[0] == '1';
-}
-
-inline bool halo_coalesce_env_default() {
-  const char* env = std::getenv("HDEM_HALO_COALESCE");
-  return env != nullptr && env[0] == '1';
-}
 
 enum class BoundaryKind : std::uint8_t {
   kPeriodic,  // periodic in every dimension
@@ -42,13 +28,6 @@ struct SimConfig {
   double velocity_scale = 0.05;    // initial random speed scale
   Vec<D> gravity{};                // uniform external acceleration
   bool reorder = true;             // cell-order particle reordering at rebuild
-  // Rebuild trigger: measure the true maximum displacement since the last
-  // rebuild each step (exact — positions move freely between rebuilds, so
-  // the Euclidean distance to the rebuild-time reference needs no
-  // minimum-image care), instead of accumulating the conservative
-  // max-speed bound max_v*dt.  Measured drift is never larger than the
-  // accumulated bound, so rebuilds can only become rarer.
-  bool drift_measured = true;
   // Verlet skin: candidate links are generated out to rc + skin and the
   // list survives until accumulated motion can close the widened gap.  The
   // skin only changes *when* lists rebuild — candidate sets are supersets
@@ -66,12 +45,12 @@ struct SimConfig {
   // changed Vec<D> values; receivers patch their halo regions in place.
   // Bitwise-exact reconstruction, so trajectories are bit-identical with
   // delta on or off (DESIGN §3.8).
-  bool halo_delta = halo_delta_env_default();
+  bool halo_delta = false;
   // Coalesce all wire halo sides sharing a (neighbour rank, dim,
   // direction) into one framed message — cuts the per-message latency
   // term when blocks-per-proc > 1.  Independent of halo_delta (frames
   // carry eager payloads when delta is off).
-  bool halo_coalesce = halo_coalesce_env_default();
+  bool halo_coalesce = false;
   std::uint64_t seed = 12345;      // RNG seed for initial conditions
 
   double rmax() const { return diameter; }
@@ -85,10 +64,11 @@ struct SimConfig {
     return cutoff() * (1.0 + cap);
   }
 
-  // Maximum accumulated one-particle drift before the link list may miss a
-  // pair entering interaction range: two particles can close the gap from
-  // both sides, hence the factor 1/2.  The skin widens today's sliver
-  // 0.5*(rc - rmax) by 0.5*skin.
+  // Maximum one-particle displacement since the last rebuild before the
+  // link list may miss a pair entering interaction range: two particles
+  // can close the gap from both sides, hence the factor 1/2.  The drivers
+  // rebuild once the measured displacement reaches it.  The skin widens
+  // today's sliver 0.5*(rc - rmax) by 0.5*skin.
   double drift_allowance() const { return 0.5 * (list_radius() - rmax()); }
 
   void validate() const {

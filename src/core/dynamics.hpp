@@ -56,13 +56,11 @@ namespace detail {
 // Packed kick-drift over the periodic path.  The Vec arithmetic of the
 // scalar loop is per-component, so the whole range is one flat elementwise
 // pass over 3 dense double arrays with the gravity components broadcast in
-// a repeating pattern; the per-particle max-speed reduction runs as a
-// second pass of per-lane norm2 via strided component loads (max over
-// non-NaN doubles is order-independent, so a pack max + tail is exact).
-// Every lane computes exactly what the scalar expression computes.
+// a repeating pattern.  Every lane computes exactly what the scalar
+// expression computes.
 template <int D, int W>
-double kick_drift_range_w(ParticleStore<D>& store, std::size_t lo,
-                          std::size_t hi, double dt, const Vec<D>& gravity) {
+void kick_drift_range_w(ParticleStore<D>& store, std::size_t lo,
+                        std::size_t hi, double dt, const Vec<D>& gravity) {
   using P = simd::pack<double, W>;
   static_assert(sizeof(Vec<D>) == D * sizeof(double),
                 "flat-double view of Vec<D> requires dense layout");
@@ -100,32 +98,11 @@ double kick_drift_range_w(ParticleStore<D>& store, std::size_t lo,
     velf[q] += (frcf[q] + gravity[static_cast<int>(q % D)]) * dt;
     posf[q] += velf[q] * dt;
   }
-
-  double max_v2 = 0.0;
-  std::size_t i = lo;
-  if (i + W <= hi) {
-    P pmax = P::zero();
-    for (; i + W <= hi; i += W) {
-      P acc = P::zero();
-      for (int d = 0; d < D; ++d) {
-        const P c = P::strided(velf + i * D + static_cast<std::size_t>(d), D);
-        acc = acc + c * c;
-      }
-      pmax = max(pmax, acc);
-    }
-    max_v2 = pmax.hmax();
-  }
-  for (; i < hi; ++i) {
-    const double v2 = norm2(vel[i]);
-    if (v2 > max_v2) max_v2 = v2;
-  }
-  return std::sqrt(max_v2);
 }
 
 // Max over particles of |pos[i] - ref[i]|^2 via strided component loads;
 // max over non-NaN doubles is order-independent, so a pack max + scalar
-// tail is exact at any width (the same argument as the max-speed pass in
-// kick_drift_range_w).
+// tail is exact at any width.
 template <int D, int W>
 double max_displacement_w(std::span<const Vec<D>> pos,
                           std::span<const Vec<D>> ref, std::size_t n) {
@@ -184,57 +161,54 @@ double kinetic_energy_w(std::span<const Vec<D>> vel, std::size_t ncore) {
 // Second-order kick-drift (leapfrog) update of the first ncore particles:
 //   v += (f + g) dt;  x += v dt
 // followed by wall reflection when the boundary has hard walls (periodic
-// wrapping is deferred to the next rebuild).  Returns the maximum particle
-// speed, from which the caller advances its drift bound for the link-list
-// validity test.  The periodic path runs on simd packs at the dispatch
-// width (bit-identical to the scalar loop); the walls path keeps the
-// scalar loop because reflection is branchy and only the sandpile
-// examples use it.
+// wrapping is deferred to the next rebuild).  The periodic path runs on
+// simd packs at the dispatch width (bit-identical to the scalar loop); the
+// walls path keeps the scalar loop because reflection is branchy and only
+// the sandpile examples use it.
 template <int D>
-double kick_drift_range(ParticleStore<D>& store, std::size_t lo,
-                        std::size_t hi, double dt, const Vec<D>& gravity,
-                        const Boundary<D>& bc, Counters* counters = nullptr) {
+void kick_drift_range(ParticleStore<D>& store, std::size_t lo,
+                      std::size_t hi, double dt, const Vec<D>& gravity,
+                      const Boundary<D>& bc, Counters* counters = nullptr) {
   const bool walls = bc.kind() == BoundaryKind::kWalls;
   if (counters != nullptr) counters->position_updates += hi - lo;
   if (!walls) {
     const int w = simd::dispatch_width();
     if constexpr (simd::kMaxWidth >= 4) {
       if (w >= 4) {
-        return detail::kick_drift_range_w<D, 4>(store, lo, hi, dt, gravity);
+        detail::kick_drift_range_w<D, 4>(store, lo, hi, dt, gravity);
+        return;
       }
     }
     if constexpr (simd::kMaxWidth >= 2) {
       if (w >= 2) {
-        return detail::kick_drift_range_w<D, 2>(store, lo, hi, dt, gravity);
+        detail::kick_drift_range_w<D, 2>(store, lo, hi, dt, gravity);
+        return;
       }
     }
   }
   auto pos = store.positions();
   auto vel = store.velocities();
   auto frc = store.forces();
-  double max_v2 = 0.0;
   for (std::size_t i = lo; i < hi; ++i) {
     vel[i] += (frc[i] + gravity) * dt;
     pos[i] += vel[i] * dt;
     if (walls) bc.reflect(pos[i], vel[i]);
-    const double v2 = norm2(vel[i]);
-    if (v2 > max_v2) max_v2 = v2;
   }
-  return std::sqrt(max_v2);
 }
 
 template <int D>
-double kick_drift(ParticleStore<D>& store, std::size_t ncore, double dt,
-                  const Vec<D>& gravity, const Boundary<D>& bc,
-                  Counters* counters = nullptr) {
-  return kick_drift_range(store, 0, ncore, dt, gravity, bc, counters);
+void kick_drift(ParticleStore<D>& store, std::size_t ncore, double dt,
+                const Vec<D>& gravity, const Boundary<D>& bc,
+                Counters* counters = nullptr) {
+  kick_drift_range(store, 0, ncore, dt, gravity, bc, counters);
 }
 
 // Maximum displacement of the first n particles relative to reference
-// positions recorded at the last rebuild — the measured drift that
-// replaces the accumulated max_v*dt bound when SimConfig::drift_measured
-// is set.  Max is order-independent, so the result is bit-identical at
-// every SIMD width and under any partitioning of the range.
+// positions recorded at the last rebuild — the measured drift every
+// driver compares with SimConfig::drift_allowance() to decide when the
+// link list must be rebuilt.  Max is order-independent, so the result is
+// bit-identical at every SIMD width and under any partitioning of the
+// range.
 template <int D>
 double max_displacement(std::span<const Vec<D>> pos,
                         std::span<const Vec<D>> ref, std::size_t n) {
@@ -252,42 +226,6 @@ double max_displacement(std::span<const Vec<D>> pos,
   }
   return std::sqrt(max_d2);
 }
-
-// Accumulated-motion tracker shared by all three drivers: decides when the
-// candidate link list (built out to rc + skin) must be rebuilt.  In
-// measured mode the caller supplies the exact maximum displacement since
-// the last rebuild (serial/smp: one max_displacement() pass; mp: per-block
-// passes reduced with a kMax allreduce); otherwise the conservative
-// max_v*dt bound accumulates.  The list stays valid while twice the
-// tracked drift cannot close the widened gap rc + skin - rmax — the one
-// place the skin policy lives (DESIGN §3.7).
-class DriftTracker {
- public:
-  DriftTracker() = default;
-  DriftTracker(bool measured, double dt) : measured_(measured), dt_(dt) {}
-
-  // Per-step advance: max_v is the kick-drift max speed; measure() must
-  // return the exact max displacement against the rebuild-time reference
-  // and is only invoked in measured mode.
-  template <class MeasureFn>
-  void advance(double max_v, MeasureFn&& measure) {
-    if (measured_) {
-      drift_ = measure();
-    } else {
-      drift_ += max_v * dt_;
-    }
-  }
-
-  bool valid(double allowance) const { return drift_ < allowance; }
-  double drift() const { return drift_; }
-  bool measured() const { return measured_; }
-  void reset() { drift_ = 0.0; }
-
- private:
-  bool measured_ = true;
-  double dt_ = 0.0;
-  double drift_ = 0.0;
-};
 
 // Kinetic energy of the first ncore particles (unit mass).  The per-
 // particle 0.5*|v|^2 lanes are vectorized; the accumulation stays scalar

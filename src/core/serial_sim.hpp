@@ -91,14 +91,11 @@ class SerialSim {
       potential_ += bond_forces(disp);
     }
     trace::Scope update_scope(trace::Phase::kUpdate);
-    const double max_v =
-        kick_drift(store_, store_.size(), cfg_.dt, cfg_.gravity, boundary_,
-                   &counters_);
-    drift_.advance(max_v, [&] {
-      return max_displacement<D>(store_.cpositions(),
+    kick_drift(store_, store_.size(), cfg_.dt, cfg_.gravity, boundary_,
+               &counters_);
+    drift_ = max_displacement<D>(store_.cpositions(),
                                  std::span<const Vec<D>>(ref_pos_),
                                  store_.size());
-    });
     ++counters_.iterations;
   }
 
@@ -106,7 +103,7 @@ class SerialSim {
     StepLoop<SerialSim>(*this, iterations).advance(iterations);
   }
 
-  bool list_valid() const { return drift_.valid(cfg_.drift_allowance()); }
+  bool list_valid() const { return drift_ < cfg_.drift_allowance(); }
 
   // Rebuild the link list: wrap positions, bin into cells, optionally
   // reorder particles into cell order, regenerate links.
@@ -121,7 +118,7 @@ class SerialSim {
       // one-cell stencil still covers rc + skin.
       grid_.configure(Vec<D>{}, cfg_.box, cfg_.binning_radius(), wrap_flags());
       grid_.bin(store_.positions(), store_.size());
-      counters_.rebuild_bin_ns += elapsed_ns(t);
+      counters_.rebuild_bin_ns += t.nanoseconds();
     }
     if (cfg_.reorder) {
       trace::Scope reorder_scope(trace::Phase::kReorder);
@@ -130,7 +127,7 @@ class SerialSim {
       store_.apply_permutation(grid_.order(), store_.size());
       grid_.reset_order_to_identity();
       ++counters_.reorders;
-      counters_.rebuild_reorder_ns += elapsed_ns(t);
+      counters_.rebuild_reorder_ns += t.nanoseconds();
     }
     counters_.links_core = 0;
     counters_.links_halo = 0;
@@ -141,21 +138,19 @@ class SerialSim {
                                         store_.gather_scratch());
       generate_links(links_, grid_, cells, store_.size(), cfg_.list_radius(),
                      boundary_.pair_disp());
-      counters_.rebuild_linkgen_ns += elapsed_ns(t);
+      counters_.rebuild_linkgen_ns += t.nanoseconds();
     }
     {
       trace::Scope plan_scope(trace::Phase::kColorPlan);
       Timer t;
       build_color_plan(links_, grid_, store_.cpositions());
-      counters_.rebuild_colorplan_ns += elapsed_ns(t);
+      counters_.rebuild_colorplan_ns += t.nanoseconds();
     }
     record_link_stats(links_, counters_);
     refresh_id_index();
-    if (cfg_.drift_measured) {
-      const auto pos = store_.cpositions();
-      ref_pos_.assign(pos.begin(), pos.begin() + store_.size());
-    }
-    drift_.reset();
+    const auto pos = store_.cpositions();
+    ref_pos_.assign(pos.begin(), pos.begin() + store_.size());
+    drift_ = 0.0;
     ++counters_.rebuilds;
   }
 
@@ -183,10 +178,6 @@ class SerialSim {
     std::array<bool, D> w{};
     w.fill(boundary_.periodic());
     return w;
-  }
-
-  static std::uint64_t elapsed_ns(const Timer& t) {
-    return static_cast<std::uint64_t>(t.seconds() * 1e9);
   }
 
   template <class Disp>
@@ -247,8 +238,9 @@ class SerialSim {
   std::vector<std::int32_t> inverse_perm_;
   std::vector<std::int32_t> index_of_id_;
   double potential_ = 0.0;
-  DriftTracker drift_{cfg_.drift_measured, cfg_.dt};
-  // Rebuild-time position snapshot for the measured-drift trigger.
+  // Measured maximum displacement since the last rebuild.
+  double drift_ = 0.0;
+  // Rebuild-time position snapshot the drift is measured against.
   std::vector<Vec<D>> ref_pos_;
   Counters counters_;
 };

@@ -84,11 +84,9 @@ class MpSim {
     // node (ranks_per_node consecutive ranks per node; 0 = every rank on
     // one node) gather halo positions straight out of the neighbour's
     // position array through generation-fenced shared windows instead of
-    // messages.  Trajectories are bit-identical to the wire path.  The
-    // defaults read HDEM_SHARED_HALO / HDEM_RANKS_PER_NODE so whole test
-    // suites can run under a different halo transport unmodified.
-    bool shared_halo = mp::shared_halo_env_default();
-    int ranks_per_node = mp::ranks_per_node_env_default();
+    // messages.  Trajectories are bit-identical to the wire path.
+    bool shared_halo = false;
+    int ranks_per_node = 0;
   };
 
   MpSim(const SimConfig<D>& cfg, const DecompLayout<D>& layout,
@@ -206,7 +204,6 @@ class MpSim {
     const PairDisp<D> disp{};
 
     potential_ = 0.0;
-    double max_v = 0.0;
     if (team_ && opts_.fused) {
       const bool colored = opts_.reduction == ReductionKind::kColored;
       if (opts_.overlap) {
@@ -239,10 +236,10 @@ class MpSim {
       }
       {
         trace::Scope scope(trace::Phase::kUpdate, comm_->rank());
-        max_v = fused_update_positions();
+        fused_update_positions();
       }
       trace::Scope scope(trace::Phase::kCollective, comm_->rank());
-      advance_drift(max_v);
+      advance_drift();
       ++counters_.iterations;
       return;
     }
@@ -285,12 +282,13 @@ class MpSim {
           block_cost_ns_[k] += b.links.size() - b.links.n_core;
         }
         trace::Scope scope(trace::Phase::kUpdate, comm_->rank());
-        const double v =
-            team_ ? smp_update_positions(*team_, b.store, b.ncore, cfg_.dt,
-                                         cfg_.gravity, boundary_, &counters_)
-                  : kick_drift(b.store, b.ncore, cfg_.dt, cfg_.gravity,
-                               boundary_, &counters_);
-        if (v > max_v) max_v = v;
+        if (team_) {
+          smp_update_positions(*team_, b.store, b.ncore, cfg_.dt,
+                               cfg_.gravity, boundary_, &counters_);
+        } else {
+          kick_drift(b.store, b.ncore, cfg_.dt, cfg_.gravity, boundary_,
+                     &counters_);
+        }
       }
       // Sum per-block energies in the synchronous schedule's core-then-
       // halo block order, so the reported potential is bit-identical too.
@@ -310,10 +308,8 @@ class MpSim {
             block_cost_ns_[k] += b.links.size();
           }
           trace::Scope scope(trace::Phase::kUpdate, comm_->rank());
-          const double v = smp_update_positions(*team_, b.store, b.ncore,
-                                                cfg_.dt, cfg_.gravity,
-                                                boundary_, &counters_);
-          if (v > max_v) max_v = v;
+          smp_update_positions(*team_, b.store, b.ncore, cfg_.dt,
+                               cfg_.gravity, boundary_, &counters_);
         } else {
           {
             trace::Scope scope(trace::Phase::kForce, comm_->rank());
@@ -327,9 +323,8 @@ class MpSim {
             block_cost_ns_[k] += b.links.size();
           }
           trace::Scope scope(trace::Phase::kUpdate, comm_->rank());
-          const double v = kick_drift(b.store, b.ncore, cfg_.dt, cfg_.gravity,
-                                      boundary_, &counters_);
-          if (v > max_v) max_v = v;
+          kick_drift(b.store, b.ncore, cfg_.dt, cfg_.gravity, boundary_,
+                     &counters_);
         }
       }
     }
@@ -338,7 +333,7 @@ class MpSim {
     // maximum (also how the paper's global quantities are formed — reduced
     // per block, then across processes).
     trace::Scope collective_scope(trace::Phase::kCollective, comm_->rank());
-    advance_drift(max_v);
+    advance_drift();
     ++counters_.iterations;
   }
 
@@ -346,7 +341,7 @@ class MpSim {
     StepLoop<MpSim>(*this, iterations).advance(iterations);
   }
 
-  bool list_valid() const { return drift_.valid(cfg_.drift_allowance()); }
+  bool list_valid() const { return drift_ < cfg_.drift_allowance(); }
 
   void rebuild() {
     for (auto& b : blocks_) b.store.truncate(b.ncore);
@@ -379,7 +374,7 @@ class MpSim {
           b.grid.bin(b.store.positions(), b.ncore);
         }
       }
-      counters_.rebuild_bin_ns += elapsed_ns(t);
+      counters_.rebuild_bin_ns += t.nanoseconds();
     }
     if (cfg_.reorder) {
       trace::Scope scope(trace::Phase::kReorder, comm_->rank());
@@ -393,7 +388,7 @@ class MpSim {
         b.grid.reset_order_to_identity();
         ++counters_.reorders;
       }
-      counters_.rebuild_reorder_ns += elapsed_ns(t);
+      counters_.rebuild_reorder_ns += t.nanoseconds();
     }
     {
       trace::Scope scope(trace::Phase::kHaloBuild, comm_->rank());
@@ -419,7 +414,7 @@ class MpSim {
         } else {
           b.grid.bin(b.store.positions(), b.store.size());
         }
-        counters_.rebuild_bin_ns += elapsed_ns(t);
+        counters_.rebuild_bin_ns += t.nanoseconds();
       }
       if (team_) {
         // Fused build: list + color plan in one pass (see link_list.hpp).
@@ -429,7 +424,7 @@ class MpSim {
                           cfg_.list_radius(), disp, *team_,
                           fused_link_scratch_, b.store.gather_scratch(),
                           &counters_);
-        counters_.rebuild_linkgen_ns += elapsed_ns(t);
+        counters_.rebuild_linkgen_ns += t.nanoseconds();
       } else {
         {
           trace::Scope scope(trace::Phase::kLinkGen, comm_->rank());
@@ -438,13 +433,13 @@ class MpSim {
                                             b.store.gather_scratch());
           generate_links(b.links, b.grid, cells, b.ncore, cfg_.list_radius(),
                          disp);
-          counters_.rebuild_linkgen_ns += elapsed_ns(t);
+          counters_.rebuild_linkgen_ns += t.nanoseconds();
         }
         {
           trace::Scope scope(trace::Phase::kColorPlan, comm_->rank());
           Timer t;
           build_color_plan(b.links, b.grid, b.store.cpositions());
-          counters_.rebuild_colorplan_ns += elapsed_ns(t);
+          counters_.rebuild_colorplan_ns += t.nanoseconds();
         }
         record_link_stats(b.links, counters_);
       }
@@ -452,19 +447,17 @@ class MpSim {
       counters_.particles += b.ncore;
     }
     if (team_) prepare_team_accumulators();
-    if (cfg_.drift_measured) {
-      ref_pos_.resize(blocks_.size());
-      for (std::size_t k = 0; k < blocks_.size(); ++k) {
-        const auto pos = blocks_[k].store.cpositions();
-        ref_pos_[k].assign(pos.begin(),
-                           pos.begin() + static_cast<std::ptrdiff_t>(
-                                             blocks_[k].ncore));
-      }
+    ref_pos_.resize(blocks_.size());
+    for (std::size_t k = 0; k < blocks_.size(); ++k) {
+      const auto pos = blocks_[k].store.cpositions();
+      ref_pos_[k].assign(pos.begin(),
+                         pos.begin() + static_cast<std::ptrdiff_t>(
+                                           blocks_[k].ncore));
     }
     // Fresh cost window for the next rebuild interval (and the right size
     // after a block handoff).
     block_cost_ns_.assign(blocks_.size(), 0);
-    drift_.reset();
+    drift_ = 0.0;
     ++counters_.rebuilds;
   }
 
@@ -755,7 +748,7 @@ class MpSim {
             std::span<const Link>(b.links.links.data() + lo, hi - lo),
             b.store.positions(), b.store.velocities(), model_, disp, !halo,
             halo ? 0.5 : 1.0, my_contacts, sink);
-        my_ns += static_cast<std::uint64_t>(rt.seconds() * 1e9);
+        my_ns += rt.nanoseconds();
         // Per-item energy slot in fixed (phase, item) order: the reported
         // potential is identical whichever thread ran the item and at any
         // team size (static or stealing).
@@ -882,31 +875,22 @@ class MpSim {
   }
 
   // One parallel region over the global core-particle range.
-  double fused_update_positions() {
+  void fused_update_positions() {
     const int t_count = team_->size();
-    std::vector<double> max_v(static_cast<std::size_t>(t_count) * 8, 0.0);
     const std::int64_t total = core_offset_.back();
     team_->parallel([&](int tid) {
       const auto g = smp::static_block(0, total, tid, t_count);
-      double my_max = 0.0;
       for (std::size_t k = 0; k < blocks_.size(); ++k) {
         const std::int64_t lo = std::max(g.lo, core_offset_[k]);
         const std::int64_t hi = std::min(g.hi, core_offset_[k + 1]);
         if (lo >= hi) continue;
-        const double v = kick_drift_range(
+        kick_drift_range(
             blocks_[k].store, static_cast<std::size_t>(lo - core_offset_[k]),
             static_cast<std::size_t>(hi - core_offset_[k]), cfg_.dt,
             cfg_.gravity, boundary_, nullptr);
-        if (v > my_max) my_max = v;
       }
-      max_v[static_cast<std::size_t>(tid) * 8] = my_max;
     });
-    double out = 0.0;
-    for (int t = 0; t < t_count; ++t) {
-      out = std::max(out, max_v[static_cast<std::size_t>(t) * 8]);
-    }
     counters_.position_updates += static_cast<std::uint64_t>(total);
-    return out;
   }
 
   static std::array<bool, D> no_wrap() {
@@ -915,31 +899,22 @@ class MpSim {
     return w;
   }
 
-  static std::uint64_t elapsed_ns(const Timer& t) {
-    return static_cast<std::uint64_t>(t.seconds() * 1e9);
-  }
-
   double reduce_energy(double local) {
     return comm_->allreduce(local, mp::Op::kSum);
   }
 
-  // Advance the rebuild criterion — one kMax allreduce per step either
-  // way.  The measured trigger reduces the true per-rank maximum core
-  // displacement since the last rebuild instead of accumulating the
-  // worldwide maximum speed times dt (its upper bound), so rebuilds can
-  // only become rarer.
-  void advance_drift(double max_v) {
-    if (!cfg_.drift_measured) max_v = comm_->allreduce(max_v, mp::Op::kMax);
-    drift_.advance(max_v, [&] {
-      double local = 0.0;
-      for (std::size_t k = 0; k < blocks_.size(); ++k) {
-        const double d = max_displacement<D>(
-            blocks_[k].store.cpositions(),
-            std::span<const Vec<D>>(ref_pos_[k]), blocks_[k].ncore);
-        if (d > local) local = d;
-      }
-      return comm_->allreduce(local, mp::Op::kMax);
-    });
+  // Advance the rebuild criterion: the per-rank maximum core displacement
+  // since the last rebuild, reduced across ranks with one kMax allreduce
+  // so every rank takes the same rebuild decision.
+  void advance_drift() {
+    double local = 0.0;
+    for (std::size_t k = 0; k < blocks_.size(); ++k) {
+      const double d = max_displacement<D>(
+          blocks_[k].store.cpositions(),
+          std::span<const Vec<D>>(ref_pos_[k]), blocks_[k].ncore);
+      if (d > local) local = d;
+    }
+    drift_ = comm_->allreduce(local, mp::Op::kMax);
   }
 
   SimConfig<D> cfg_;
@@ -976,11 +951,12 @@ class MpSim {
   // must see the same vector everywhere to adopt the same table); reset
   // at every rebuild.
   std::vector<std::uint64_t> block_cost_ns_;
-  // Per-block rebuild-time core-position snapshots for the measured-drift
-  // trigger.
+  // Per-block rebuild-time core-position snapshots the drift is measured
+  // against.
   std::vector<std::vector<Vec<D>>> ref_pos_;
   double potential_ = 0.0;
-  DriftTracker drift_{cfg_.drift_measured, cfg_.dt};
+  // Measured maximum displacement since the last rebuild.
+  double drift_ = 0.0;
   Counters counters_;
 };
 

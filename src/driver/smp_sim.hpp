@@ -86,17 +86,14 @@ class SmpSim {
       potential_ = dispatch_force_pass<D>(acc_, team_, links_, store_,
                                           model_, disp, &counters_);
     }
-    double max_v = 0.0;
     {
       trace::Scope scope(trace::Phase::kUpdate);
-      max_v = smp_update_positions(team_, store_, store_.size(), cfg_.dt,
-                                   cfg_.gravity, boundary_, &counters_);
+      smp_update_positions(team_, store_, store_.size(), cfg_.dt,
+                           cfg_.gravity, boundary_, &counters_);
     }
-    drift_.advance(max_v, [&] {
-      return max_displacement<D>(store_.cpositions(),
+    drift_ = max_displacement<D>(store_.cpositions(),
                                  std::span<const Vec<D>>(ref_pos_),
                                  store_.size());
-    });
     ++counters_.iterations;
   }
 
@@ -104,7 +101,7 @@ class SmpSim {
     StepLoop<SmpSim>(*this, iterations).advance(iterations);
   }
 
-  bool list_valid() const { return drift_.valid(cfg_.drift_allowance()); }
+  bool list_valid() const { return drift_ < cfg_.drift_allowance(); }
 
   // The whole rebuild pipeline runs thread-parallel: wrap, binning
   // (two-level counting sort), cell-order reorder (parallel gather), and
@@ -127,7 +124,7 @@ class SmpSim {
                          });
       grid_.configure(Vec<D>{}, cfg_.box, cfg_.binning_radius(), wrap_flags());
       grid_.bin_parallel(store_.cpositions(), store_.size(), team_);
-      counters_.rebuild_bin_ns += elapsed_ns(t);
+      counters_.rebuild_bin_ns += t.nanoseconds();
     }
     if (cfg_.reorder) {
       trace::Scope scope(trace::Phase::kReorder);
@@ -135,7 +132,7 @@ class SmpSim {
       store_.apply_permutation_parallel(grid_.order(), store_.size(), team_);
       grid_.reset_order_to_identity();
       ++counters_.reorders;
-      counters_.rebuild_reorder_ns += elapsed_ns(t);
+      counters_.rebuild_reorder_ns += t.nanoseconds();
     }
     {
       trace::Scope scope(trace::Phase::kLinkGen);
@@ -145,14 +142,12 @@ class SmpSim {
       build_links_fused(links_, grid_, store_.cpositions(), store_.size(),
                         cfg_.list_radius(), boundary_.pair_disp(), team_,
                         fused_scratch_, store_.gather_scratch(), &counters_);
-      counters_.rebuild_linkgen_ns += elapsed_ns(t);
+      counters_.rebuild_linkgen_ns += t.nanoseconds();
     }
     prepare_accumulator<D>(acc_, team_.size(), links_, store_.size());
-    if (cfg_.drift_measured) {
-      const auto pos = store_.cpositions();
-      ref_pos_.assign(pos.begin(), pos.begin() + store_.size());
-    }
-    drift_.reset();
+    const auto pos = store_.cpositions();
+    ref_pos_.assign(pos.begin(), pos.begin() + store_.size());
+    drift_ = 0.0;
     ++counters_.rebuilds;
   }
 
@@ -183,10 +178,6 @@ class SmpSim {
     return w;
   }
 
-  static std::uint64_t elapsed_ns(const Timer& t) {
-    return static_cast<std::uint64_t>(t.seconds() * 1e9);
-  }
-
   SimConfig<D> cfg_;
   Model model_;
   Boundary<D> boundary_;
@@ -198,8 +189,9 @@ class SmpSim {
   LinkList links_;
   FusedBuildScratch fused_scratch_;
   double potential_ = 0.0;
-  DriftTracker drift_{cfg_.drift_measured, cfg_.dt};
-  // Rebuild-time position snapshot for the measured-drift trigger.
+  // Measured maximum displacement since the last rebuild.
+  double drift_ = 0.0;
+  // Rebuild-time position snapshot the drift is measured against.
   std::vector<Vec<D>> ref_pos_;
   Counters counters_;
 };

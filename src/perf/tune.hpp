@@ -21,7 +21,7 @@
 // Tune file format (plain text, '#' comments):
 //
 //     # hdem-tune v1
-//     # <machine_report of the measuring host, incl. active knob set>
+//     # <machine_report of the measuring host>
 //     # columns: <space-separated column names>
 //     <one row per line, tokens in column order>
 //

@@ -31,7 +31,6 @@ namespace hdem {
 namespace detail {
 struct alignas(64) PadSlot {
   double pe = 0.0;
-  double max_v = 0.0;
   std::uint64_t contacts = 0;
   std::uint64_t cost_ns = 0;
 };
@@ -131,7 +130,7 @@ double smp_force_pass(smp::ThreadTeam& team, const LinkList& list,
       const double v = batched_pair_links<D>(
           std::span<const Link>(list.links.data() + lo, hi - lo), pos, vel,
           model, disp, update_both, pe_weight, my_contacts, sink);
-      my_ns += static_cast<std::uint64_t>(rt.seconds() * 1e9);
+      my_ns += rt.nanoseconds();
       my_pe += v;
       return v;
     };
@@ -233,27 +232,19 @@ double smp_force_pass(smp::ThreadTeam& team, const LinkList& list,
 }
 
 // Threaded position update ("the update of positions is parallelised over
-// particles"); returns the maximum particle speed across the team.
+// particles").
 template <int D>
-double smp_update_positions(smp::ThreadTeam& team, ParticleStore<D>& store,
-                            std::size_t ncore, double dt,
-                            const Vec<D>& gravity, const Boundary<D>& bc,
-                            Counters* counters = nullptr) {
-  const int t_count = team.size();
-  std::vector<detail::PadSlot> slots(static_cast<std::size_t>(t_count));
-  team.parallel_for(
-      0, static_cast<std::int64_t>(ncore),
-      [&](int tid, std::int64_t lo, std::int64_t hi) {
-        slots[static_cast<std::size_t>(tid)].max_v = kick_drift_range(
-            store, static_cast<std::size_t>(lo), static_cast<std::size_t>(hi),
-            dt, gravity, bc, nullptr);
-      });
-  double max_v = 0.0;
-  for (const auto& s : slots) {
-    if (s.max_v > max_v) max_v = s.max_v;
-  }
+void smp_update_positions(smp::ThreadTeam& team, ParticleStore<D>& store,
+                          std::size_t ncore, double dt, const Vec<D>& gravity,
+                          const Boundary<D>& bc,
+                          Counters* counters = nullptr) {
+  team.parallel_for(0, static_cast<std::int64_t>(ncore),
+                    [&](int, std::int64_t lo, std::int64_t hi) {
+                      kick_drift_range(store, static_cast<std::size_t>(lo),
+                                       static_cast<std::size_t>(hi), dt,
+                                       gravity, bc, nullptr);
+                    });
   if (counters != nullptr) counters->position_updates += ncore;
-  return max_v;
 }
 
 // Fused-hybrid helper (the paper's Section 11 proposal): process one

@@ -116,10 +116,6 @@ SimConfig<D> job_config(const JobSpec& spec) {
   cfg.seed = job_seed(spec.seed, spec.job_id);
   cfg.velocity_scale = spec.velocity_scale;
   cfg.skin_factor = spec.skin_factor;
-  // Jobs run undecomposed drivers; pin the wire-halo knobs off so a job's
-  // bits never depend on the HDEM_HALO_* environment of the host process.
-  cfg.halo_delta = false;
-  cfg.halo_coalesce = false;
   return cfg;
 }
 

@@ -8,14 +8,6 @@
 
 namespace hdem::serve {
 
-namespace {
-
-std::uint64_t elapsed_ns(const Timer& t) {
-  return static_cast<std::uint64_t>(t.seconds() * 1e9);
-}
-
-}  // namespace
-
 Scheduler::Scheduler(smp::ThreadTeam& team) : Scheduler(team, Options{}) {}
 
 Scheduler::Scheduler(smp::ThreadTeam& team, Options opt)
@@ -47,8 +39,7 @@ std::future<JobResult> Scheduler::enqueue(std::unique_ptr<SimJob> job,
   if (closed_.load(std::memory_order_acquire)) {
     throw std::runtime_error("Scheduler: submit after close()");
   }
-  auto owned = std::make_unique<Entry>();
-  Entry* e = owned.get();
+  auto e = std::make_unique<Entry>();
   e->job = std::move(job);
   const JobSpec& spec = e->job->spec();
   e->result.job_id = spec.job_id;
@@ -56,10 +47,6 @@ std::future<JobResult> Scheduler::enqueue(std::unique_ptr<SimJob> job,
   e->result.checkpoint_path = spec.checkpoint_path;
   e->result.submit_cost = cost_done_.load(std::memory_order_relaxed);
   std::future<JobResult> fut = e->promise.get_future();
-  {
-    std::lock_guard<std::mutex> lock(entries_mu_);
-    entries_.push_back(std::move(owned));
-  }
   // pending_ rises before the entry becomes runnable, so a worker that
   // completes it can never observe pending_ == 0 while it is in flight.
   pending_.fetch_add(1, std::memory_order_release);
@@ -68,10 +55,10 @@ std::future<JobResult> Scheduler::enqueue(std::unique_ptr<SimJob> job,
   if (worker >= 0) {
     WorkerQueue& wq = queues_[static_cast<std::size_t>(worker)];
     std::lock_guard<std::mutex> lock(wq.mu);
-    wq.q[cls].push_back(e);
+    wq.q[cls].push_back(std::move(e));
   } else {
     std::lock_guard<std::mutex> lock(inject_mu_);
-    inject_[cls].push_back(e);
+    inject_[cls].push_back(std::move(e));
   }
   return fut;
 }
@@ -81,13 +68,13 @@ void Scheduler::close() { closed_.store(true, std::memory_order_release); }
 void Scheduler::run() {
   Timer t;
   team_.parallel([this](int tid) { worker_loop(tid); });
-  run_ns_.fetch_add(elapsed_ns(t), std::memory_order_relaxed);
+  run_ns_.fetch_add(t.nanoseconds(), std::memory_order_relaxed);
 }
 
 void Scheduler::worker_loop(int tid) {
   for (;;) {
     Timer book;
-    Entry* e = acquire(tid);
+    std::unique_ptr<Entry> e = acquire(tid);
     if (e == nullptr) {
       if (closed_.load(std::memory_order_acquire) &&
           pending_.load(std::memory_order_acquire) == 0) {
@@ -96,7 +83,7 @@ void Scheduler::worker_loop(int tid) {
       std::this_thread::yield();
       continue;
     }
-    overhead_ns_.fetch_add(elapsed_ns(book), std::memory_order_relaxed);
+    overhead_ns_.fetch_add(book.nanoseconds(), std::memory_order_relaxed);
 
     if (e->last_worker >= 0 && e->last_worker != tid) ++e->result.migrations;
     e->last_worker = tid;
@@ -108,7 +95,7 @@ void Scheduler::worker_loop(int tid) {
       if (opt_.mute_trace) mute.emplace();
       e->job->advance(opt_.quantum_steps);
     }
-    advance_ns_.fetch_add(elapsed_ns(adv), std::memory_order_relaxed);
+    advance_ns_.fetch_add(adv.nanoseconds(), std::memory_order_relaxed);
 
     const std::uint64_t delta = e->job->cost_units() - before;
     cost_done_.fetch_add(delta, std::memory_order_relaxed);
@@ -119,20 +106,20 @@ void Scheduler::worker_loop(int tid) {
 
     book.reset();
     if (e->job->done()) {
-      finish(e);
+      finish(std::move(e));
     } else {
       // Requeue at the back of the owner's deque: round-robin slicing
       // within the worker, and the back is where thieves look.
       WorkerQueue& wq = queues_[static_cast<std::size_t>(tid)];
       const int cls = cls_index(e->job->spec().deadline);
       std::lock_guard<std::mutex> lock(wq.mu);
-      wq.q[cls].push_back(e);
+      wq.q[cls].push_back(std::move(e));
     }
-    overhead_ns_.fetch_add(elapsed_ns(book), std::memory_order_relaxed);
+    overhead_ns_.fetch_add(book.nanoseconds(), std::memory_order_relaxed);
   }
 }
 
-Scheduler::Entry* Scheduler::acquire(int tid) {
+std::unique_ptr<Scheduler::Entry> Scheduler::acquire(int tid) {
   const int W = workers();
   // Interactive jobs win at every source before any batch job is looked
   // at; within a class: own deque front, then injector, then steal from a
@@ -142,7 +129,7 @@ Scheduler::Entry* Scheduler::acquire(int tid) {
       WorkerQueue& wq = queues_[static_cast<std::size_t>(tid)];
       std::lock_guard<std::mutex> lock(wq.mu);
       if (!wq.q[cls].empty()) {
-        Entry* e = wq.q[cls].front();
+        std::unique_ptr<Entry> e = std::move(wq.q[cls].front());
         wq.q[cls].pop_front();
         return e;
       }
@@ -157,10 +144,10 @@ Scheduler::Entry* Scheduler::acquire(int tid) {
             cls == 0 ? 1
                      : (inject_[cls].size() + static_cast<std::size_t>(W) - 1) /
                            static_cast<std::size_t>(W);
-        std::vector<Entry*> taken;
+        std::vector<std::unique_ptr<Entry>> taken;
         taken.reserve(grab);
         while (grab-- > 0 && !inject_[cls].empty()) {
-          taken.push_back(inject_[cls].front());
+          taken.push_back(std::move(inject_[cls].front()));
           inject_[cls].pop_front();
         }
         ilock.unlock();
@@ -168,17 +155,17 @@ Scheduler::Entry* Scheduler::acquire(int tid) {
           WorkerQueue& wq = queues_[static_cast<std::size_t>(tid)];
           std::lock_guard<std::mutex> lock(wq.mu);
           for (std::size_t i = 1; i < taken.size(); ++i) {
-            wq.q[cls].push_back(taken[i]);
+            wq.q[cls].push_back(std::move(taken[i]));
           }
         }
-        return taken.front();
+        return std::move(taken.front());
       }
     }
     for (int k = 1; k < W; ++k) {
       WorkerQueue& victim = queues_[static_cast<std::size_t>((tid + k) % W)];
       std::lock_guard<std::mutex> lock(victim.mu);
       if (!victim.q[cls].empty()) {
-        Entry* e = victim.q[cls].back();
+        std::unique_ptr<Entry> e = std::move(victim.q[cls].back());
         victim.q[cls].pop_back();
         steals_.fetch_add(1, std::memory_order_relaxed);
         return e;
@@ -188,7 +175,7 @@ Scheduler::Entry* Scheduler::acquire(int tid) {
   return nullptr;
 }
 
-void Scheduler::finish(Entry* e) {
+void Scheduler::finish(std::unique_ptr<Entry> e) {
   e->result.steps = e->job->steps_done();
   e->result.cost_units = e->job->cost_units();
   e->result.finish_cost = cost_done_.load(std::memory_order_relaxed);
@@ -196,6 +183,9 @@ void Scheduler::finish(Entry* e) {
   e->result.counters = e->job->counters();
   completed_.fetch_add(1, std::memory_order_relaxed);
   e->promise.set_value(std::move(e->result));
+  // The result lives in the future now: free the job and its state, so
+  // serving memory is bounded by live jobs rather than jobs served.
+  e.reset();
   // Last: once pending_ hits 0 with the stream closed, worker_loop exits,
   // and every promise must already be fulfilled by then.
   pending_.fetch_sub(1, std::memory_order_release);

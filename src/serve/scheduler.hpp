@@ -177,10 +177,13 @@ class Scheduler {
     int last_worker = -1;
   };
 
-  // One run queue per team member: [0] interactive, [1] batch.
+  // One run queue per team member: [0] interactive, [1] batch.  The queues
+  // own their entries: a finished entry is destroyed at once, and a
+  // scheduler abandoned with jobs still queued breaks their promises
+  // (std::future_error), which is the right signal.
   struct WorkerQueue {
     std::mutex mu;
-    std::deque<Entry*> q[2];
+    std::deque<std::unique_ptr<Entry>> q[2];
     std::atomic<std::uint64_t> cost{0};
   };
 
@@ -190,20 +193,14 @@ class Scheduler {
 
   std::future<JobResult> enqueue(std::unique_ptr<SimJob> job, int worker);
   void worker_loop(int tid);
-  Entry* acquire(int tid);
-  void finish(Entry* e);
+  std::unique_ptr<Entry> acquire(int tid);
+  void finish(std::unique_ptr<Entry> e);
 
   smp::ThreadTeam& team_;
   Options opt_;
   std::vector<WorkerQueue> queues_;
   std::mutex inject_mu_;
-  std::deque<Entry*> inject_[2];
-
-  // Owns every Entry for the scheduler's lifetime; the run queues hold
-  // raw pointers into it.  Abandoning a scheduler with jobs still queued
-  // breaks their promises (std::future_error), which is the right signal.
-  std::mutex entries_mu_;
-  std::vector<std::unique_ptr<Entry>> entries_;
+  std::deque<std::unique_ptr<Entry>> inject_[2];
 
   std::atomic<std::uint64_t> pending_{0};
   std::atomic<bool> closed_{false};

@@ -5,11 +5,9 @@
 //                    the last swap (bitmask frame + dense changed values;
 //                    receivers patch their halo regions in place).
 //                    Bitwise-exact, so trajectories are bit-identical with
-//                    the flag on or off (default: the HDEM_HALO_DELTA
-//                    environment variable, else off)
+//                    the flag on or off (default off)
 //   --halo-coalesce  merge all wire halo sides sharing a (neighbour rank,
-//                    dim, direction) into one framed message (default:
-//                    HDEM_HALO_COALESCE, else off)
+//                    dim, direction) into one framed message (default off)
 #pragma once
 
 #include "core/config.hpp"
@@ -32,19 +30,13 @@ struct HaloCliOptions {
 
 inline HaloCliOptions declare_halo_options(Cli& cli) {
   HaloCliOptions o;
-  // The env variables supply the default so whole suites and CI legs can
-  // flip the transport without touching flags (à la HDEM_SKIN).
   o.delta = cli.flag("halo-delta",
                      "delta-compressed halo swaps: send a bitmask plus only "
                      "the changed template positions between rebuilds "
-                     "(bit-identical trajectories; env default "
-                     "HDEM_HALO_DELTA)") ||
-            halo_delta_env_default();
+                     "(bit-identical trajectories)");
   o.coalesce = cli.flag("halo-coalesce",
                         "coalesce wire halo sides sharing a (neighbour rank, "
-                        "dim, direction) into one framed message (env "
-                        "default HDEM_HALO_COALESCE)") ||
-              halo_coalesce_env_default();
+                        "dim, direction) into one framed message");
   return o;
 }
 

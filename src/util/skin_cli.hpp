@@ -3,26 +3,17 @@
 //
 //   --skin=F      skin radius as a fraction of rc: candidate links are
 //                 generated out to rc * (1 + F) and the list is reused
-//                 until accumulated drift can close the widened gap
-//                 (default: the HDEM_SKIN environment variable, else 0)
+//                 until measured drift can close the widened gap
+//                 (default 0)
 //   --skin-cap=F  binning capacity as a fraction of rc; cells are sized
 //                 for rc * (1 + F) (default -1: follow --skin).  Pin it
 //                 across runs with different skins to keep the cell
 //                 geometry — and hence trajectories — bit-identical.
 #pragma once
 
-#include <cstdlib>
-
 #include "util/cli.hpp"
 
 namespace hdem {
-
-// HDEM_SKIN lets whole test suites and CI legs run under a skin without
-// touching their flags (the same pattern as HDEM_SHARED_HALO).
-inline double skin_env_default() {
-  const char* env = std::getenv("HDEM_SKIN");
-  return env != nullptr ? std::atof(env) : 0.0;
-}
 
 struct SkinCliOptions {
   double skin = 0.0;
@@ -32,9 +23,9 @@ struct SkinCliOptions {
 inline SkinCliOptions declare_skin_options(Cli& cli) {
   SkinCliOptions o;
   o.skin = cli.real(
-      "skin", skin_env_default(),
+      "skin", 0.0,
       "Verlet skin as a fraction of rc: bin and link at rc*(1+skin), reuse "
-      "the list until drift can close the gap (env default HDEM_SKIN)");
+      "the list until drift can close the gap");
   o.skin_cap = cli.real(
       "skin-cap", -1.0,
       "binning capacity as a fraction of rc (-1: follow --skin); pin across "

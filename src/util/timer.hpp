@@ -2,6 +2,7 @@
 #pragma once
 
 #include <chrono>
+#include <cstdint>
 
 namespace hdem {
 
@@ -14,6 +15,14 @@ class Timer {
   // Seconds elapsed since construction or the last reset().
   double seconds() const {
     return std::chrono::duration<double>(clock::now() - start_).count();
+  }
+
+  // Whole nanoseconds elapsed since construction or the last reset().
+  std::uint64_t nanoseconds() const {
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(clock::now() -
+                                                             start_)
+            .count());
   }
 
  private:

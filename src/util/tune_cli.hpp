@@ -7,17 +7,16 @@
 //                  --tune-file when it exists; otherwise a small sweep is
 //                  measured first and saved there, so the *next* run of
 //                  the same program starts from measurements — the closed
-//                  loop.  (default: the HDEM_AUTO environment variable)
+//                  loop.  (default off)
 //   --tune-file=P  measurement rows to fit, in the documented plain-text
-//                  format of perf/tune.hpp (default: the HDEM_TUNE_FILE
-//                  environment variable, else results/tune/<use>.tune)
+//                  format of perf/tune.hpp (default
+//                  results/tune/<use>.tune)
 //
 // --auto only ever *selects* knobs that could equally be passed
 // explicitly; it never perturbs trajectories (the sim_server --verify and
 // fig15 identity gates enforce this).
 #pragma once
 
-#include <cstdlib>
 #include <filesystem>
 #include <string>
 
@@ -25,18 +24,6 @@
 #include "util/cli.hpp"
 
 namespace hdem {
-
-// HDEM_AUTO lets whole test suites and CI legs opt in without touching
-// their flags (the same pattern as HDEM_SKIN / HDEM_SHARED_HALO).
-inline bool auto_env_default() {
-  const char* env = std::getenv("HDEM_AUTO");
-  return env != nullptr && env[0] != '\0' && env[0] != '0';
-}
-
-inline std::string tune_file_env_default() {
-  const char* env = std::getenv("HDEM_TUNE_FILE");
-  return env != nullptr ? env : "";
-}
 
 struct TuneCliOptions {
   bool auto_mode = false;
@@ -56,13 +43,11 @@ inline TuneCliOptions declare_tune_options(Cli& cli) {
   o.auto_mode =
       cli.flag("auto",
                "pick knobs from the fitted per-phase scaling model; sweeps "
-               "and saves --tune-file first when it does not exist yet (env "
-               "default HDEM_AUTO)") ||
-      auto_env_default();
+               "and saves --tune-file first when it does not exist yet");
   o.tune_file = cli.str(
-      "tune-file", tune_file_env_default(),
+      "tune-file", "",
       "measurement rows for --auto, in the documented plain-text tune "
-      "format (env default HDEM_TUNE_FILE, else results/tune/<use>.tune)");
+      "format (default results/tune/<use>.tune)");
   return o;
 }
 

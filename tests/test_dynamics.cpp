@@ -73,9 +73,8 @@ TEST(Dynamics, KickDriftConstantVelocity) {
   auto s = two_particles<1>(Vec<1>(0.1), Vec<1>(0.5));
   s.vel(0) = Vec<1>(2.0);
   Boundary<1> bc(BoundaryKind::kPeriodic, Vec<1>(10.0));
-  const double maxv = kick_drift(s, 2, 0.01, Vec<1>{}, bc);
+  kick_drift(s, 2, 0.01, Vec<1>{}, bc);
   EXPECT_NEAR(s.pos(0)[0], 0.12, 1e-14);
-  EXPECT_NEAR(maxv, 2.0, 1e-14);
 }
 
 TEST(Dynamics, KickDriftAppliesGravity) {

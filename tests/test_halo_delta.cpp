@@ -9,11 +9,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "ci_env.hpp"
 #include "core/config.hpp"
 #include "core/init.hpp"
 #include "core/serial_sim.hpp"
@@ -361,7 +361,7 @@ void expect_records_identical(const std::vector<StateRecord<D>>& a,
 }
 
 SimConfig<2> driver_config(bool delta, double skin) {
-  SimConfig<2> cfg;
+  SimConfig<2> cfg = test::ci_config<2>();
   cfg.box = Vec<2>(SimConfig<2>::paper_box_edge(600));
   cfg.seed = 31;
   cfg.dt = 2.5e-4;
@@ -389,7 +389,7 @@ std::vector<StateRecord<2>> run_driver(const char* driver, bool delta,
     return snapshot_records<2>(sim.store());
   }
   const auto layout = DecompLayout<2>::make(4, 1);
-  typename MpSim<2>::Options opts;
+  auto opts = test::ci_options<2>();
   opts.nthreads = nthreads;
   // Atomic-family reductions are not run-to-run reproducible at T > 1.
   opts.reduction = ReductionKind::kColored;
@@ -423,7 +423,7 @@ TEST(HaloDeltaDrivers, MpCountersConserveBytesAndCompress) {
   // Settled bed: a contact-free lattice at rest with a mobile minority
   // (every fifth particle), so most halo entries repeat bit-exactly
   // between swaps and the masks genuinely compress.
-  SimConfig<2> cfg;
+  SimConfig<2> cfg = test::ci_config<2>();
   cfg.box = Vec<2>(1.0);
   cfg.seed = 31;
   cfg.velocity_scale = 0.0;
@@ -436,9 +436,9 @@ TEST(HaloDeltaDrivers, MpCountersConserveBytesAndCompress) {
   const auto layout = DecompLayout<2>::make(4, 1);
   std::vector<Counters> rank_counters(4);
   // The assertions below read the wire counters, so pin the wire
-  // transport regardless of HDEM_SHARED_HALO (the masked shared-window
-  // path has its own suite above).
-  typename MpSim<2>::Options opts;
+  // transport whatever the CI leg selects (the masked shared-window path
+  // has its own suite above).
+  auto opts = test::ci_options<2>();
   opts.shared_halo = false;
   mp::run(4, [&](mp::Comm& comm) {
     MpSim<2> sim(cfg, layout, comm,
@@ -464,17 +464,6 @@ TEST(HaloDeltaConfig, ValidateRejectsZeroCapacityTemplates) {
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
   cfg.cutoff_factor = 1.5;
   EXPECT_NO_THROW(cfg.validate());
-}
-
-TEST(HaloDeltaConfig, EnvDefaults) {
-  ASSERT_EQ(::setenv("HDEM_HALO_DELTA", "1", 1), 0);
-  ASSERT_EQ(::setenv("HDEM_HALO_COALESCE", "1", 1), 0);
-  EXPECT_TRUE(halo_delta_env_default());
-  EXPECT_TRUE(halo_coalesce_env_default());
-  ASSERT_EQ(::unsetenv("HDEM_HALO_DELTA"), 0);
-  ASSERT_EQ(::unsetenv("HDEM_HALO_COALESCE"), 0);
-  EXPECT_FALSE(halo_delta_env_default());
-  EXPECT_FALSE(halo_coalesce_env_default());
 }
 
 TEST(HaloDeltaConfig, CliFlagsApplyToConfig) {

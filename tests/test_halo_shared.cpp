@@ -12,9 +12,9 @@
 #include <mutex>
 #include <vector>
 
+#include "ci_env.hpp"
 #include "core/config.hpp"
 #include "core/init.hpp"
-#include "core/serial_sim.hpp"
 #include "driver/mp_sim.hpp"
 #include "mp/comm.hpp"
 #include "mp/nodemap.hpp"
@@ -153,7 +153,7 @@ template <int D>
 void check_trajectory_identity(int nprocs, int bpp, int ranks_per_node,
                                int nthreads, std::uint64_t n, int steps,
                                std::uint64_t seed, bool rebalance = false) {
-  SimConfig<D> cfg;
+  SimConfig<D> cfg = test::ci_config<D>();
   cfg.box = Vec<D>(1.0);
   cfg.seed = seed;
   cfg.velocity_scale = 0.8;  // rebuilds + migrations inside the window
@@ -163,7 +163,7 @@ void check_trajectory_identity(int nprocs, int bpp, int ranks_per_node,
   auto run_mode = [&](bool shared, Counters& total,
                       std::uint64_t& republishes) {
     const auto layout = DecompLayout<D>::make(nprocs, bpp);
-    typename MpSim<D>::Options opts;
+    auto opts = test::ci_options<D>();
     opts.nthreads = nthreads;
     // Bit-identity needs a deterministic reduction: the atomic family is
     // not run-to-run reproducible at T > 1 (accumulation order races), so
@@ -275,62 +275,6 @@ TEST(SharedHaloTrajectory, HybridTeams4) {
 // bit-identical trajectories.
 TEST(SharedHaloTrajectory, RebalanceRepublishesWindows) {
   check_trajectory_identity<2>(4, 4, 0, 1, 600, 120, 47, /*rebalance=*/true);
-}
-
-// The measured-drift trigger (SimConfig::drift_measured) must never
-// rebuild more often than the conservative accumulated max_v*dt bound —
-// the measured displacement is bounded above by the accumulated bound.
-TEST(MeasuredDrift, NeverMoreRebuildsThanConservative) {
-  SimConfig<2> cfg;
-  cfg.box = Vec<2>(1.0);
-  cfg.seed = 51;
-  cfg.velocity_scale = 1.0;
-  const auto init = uniform_random_particles(cfg, std::uint64_t{600});
-  const ElasticSphere model{cfg.stiffness, cfg.diameter};
-
-  cfg.drift_measured = false;
-  SerialSim<2> conservative(cfg, model, init);
-  conservative.run(150);
-
-  cfg.drift_measured = true;
-  SerialSim<2> measured(cfg, model, init);
-  measured.run(150);
-
-  const auto cons = conservative.counters().rebuilds;
-  const auto meas = measured.counters().rebuilds;
-  EXPECT_GT(cons, 2u);  // the workload actually rebuilds
-  EXPECT_GT(meas, 2u);
-  EXPECT_LE(meas, cons);
-}
-
-// Same guarantee under the decomposed driver (per-block measurement +
-// global max reduction).
-TEST(MeasuredDrift, MpNeverMoreRebuildsThanConservative) {
-  SimConfig<2> cfg;
-  cfg.box = Vec<2>(1.0);
-  cfg.seed = 53;
-  cfg.velocity_scale = 1.0;
-  const auto init = uniform_random_particles(cfg, std::uint64_t{600});
-  const ElasticSphere model{cfg.stiffness, cfg.diameter};
-  const auto layout = DecompLayout<2>::make(4, 1);
-
-  auto rebuilds_with = [&](bool measured) {
-    SimConfig<2> c = cfg;
-    c.drift_measured = measured;
-    std::uint64_t rebuilds = 0;
-    mp::run(4, [&](mp::Comm& comm) {
-      MpSim<2> sim(c, layout, comm, model, init);
-      sim.run(150);
-      if (comm.rank() == 0) rebuilds = sim.counters().rebuilds;
-    });
-    return rebuilds;
-  };
-
-  const std::uint64_t cons = rebuilds_with(false);
-  const std::uint64_t meas = rebuilds_with(true);
-  EXPECT_GT(cons, 2u);
-  EXPECT_GT(meas, 2u);
-  EXPECT_LE(meas, cons);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <mutex>
 #include <vector>
 
+#include "ci_env.hpp"
 #include "core/serial_sim.hpp"
 #include "driver/mp_sim.hpp"
 #include "driver/smp_sim.hpp"
@@ -283,16 +284,16 @@ TEST(Rebalance, AdaptiveRemapTriggersAndKeepsTrajectoryBits) {
   // adaptive run must adopt at least one new table, migrate blocks, and
   // still land on the same trajectory bits as the static run — remapping
   // changes who computes, never what is computed.
-  SimConfig<2> cfg;
+  SimConfig<2> cfg = test::ci_config<2>();
   cfg.box = Vec<2>(1.0);
   cfg.seed = 17;
   cfg.velocity_scale = 0.8;
   const auto init = clustered_particles(cfg, 600, 0.25);
   const int steps = 120;
 
-  typename MpSim<2>::Options stat;
+  auto stat = test::ci_options<2>();
   const auto fixed = run_mp_state<2>(cfg, init, 4, 4, stat, steps);
-  typename MpSim<2>::Options adapt;
+  auto adapt = test::ci_options<2>();
   adapt.rebalance = true;
   const auto moved = run_mp_state<2>(cfg, init, 4, 4, adapt, steps);
 
@@ -305,13 +306,13 @@ TEST(Rebalance, AdaptiveRemapTriggersAndKeepsTrajectoryBits) {
 }
 
 TEST(Rebalance, AdaptiveRemapMatchesSerial3D) {
-  SimConfig<3> cfg;
+  SimConfig<3> cfg = test::ci_config<3>();
   cfg.box = Vec<3>(1.0);
   cfg.seed = 37;
   cfg.velocity_scale = 0.8;
   const auto init = clustered_particles(cfg, 700, 0.4);
   const int steps = 100;
-  typename MpSim<3>::Options opts;
+  auto opts = test::ci_options<3>();
   opts.rebalance = true;
   opts.overlap = true;  // remapping must rebuild the overlap plans too
   const auto got = run_mp_state<3>(cfg, init, 4, 2, opts, steps);
@@ -319,14 +320,14 @@ TEST(Rebalance, AdaptiveRemapMatchesSerial3D) {
 }
 
 TEST(Steal, MpColoredStealMatchesStaticBitwise) {
-  SimConfig<2> cfg;
+  SimConfig<2> cfg = test::ci_config<2>();
   cfg.box = Vec<2>(1.0);
   cfg.seed = 31;
   cfg.velocity_scale = 0.8;
   const auto init = clustered_particles(cfg, 500, 0.5);
   const int steps = 100;
 
-  typename MpSim<2>::Options stat;
+  auto stat = test::ci_options<2>();
   stat.nthreads = 3;
   stat.reduction = ReductionKind::kColored;
   const auto fixed = run_mp_state<2>(cfg, init, 2, 4, stat, steps);
@@ -343,14 +344,14 @@ TEST(Steal, FusedColoredStealAndRebalanceMatchSerial) {
   // The full clustered configuration the new fig11 bench runs: fused halo
   // exchange, colored global phases, work stealing and adaptive remapping
   // all at once.
-  SimConfig<2> cfg;
+  SimConfig<2> cfg = test::ci_config<2>();
   cfg.box = Vec<2>(1.0);
   cfg.seed = 29;
   cfg.velocity_scale = 0.8;
   const auto init = clustered_particles(cfg, 500, 0.25);
   const int steps = 120;
 
-  typename MpSim<2>::Options fused;
+  auto fused = test::ci_options<2>();
   fused.fused = true;
   fused.overlap = true;
   fused.nthreads = 4;
@@ -367,19 +368,19 @@ TEST(Steal, FusedColoredStealAndRebalanceMatchSerial) {
 }
 
 TEST(Steal, MpOptionValidation) {
-  SimConfig<2> cfg;
+  SimConfig<2> cfg = test::ci_config<2>();
   cfg.box = Vec<2>(1.0);
   const auto init = uniform_random_particles(cfg, 100);
   const auto layout = DecompLayout<2>::make(1, 4);
   mp::run(1, [&](mp::Comm& comm) {
     const ElasticSphere model{cfg.stiffness, cfg.diameter};
-    typename MpSim<2>::Options steal;
+    auto steal = test::ci_options<2>();
     steal.steal = true;
     steal.nthreads = 2;
     steal.reduction = ReductionKind::kSelectedAtomic;
     EXPECT_THROW(MpSim<2>(cfg, layout, comm, model, init, steal),
                  std::invalid_argument);
-    typename MpSim<2>::Options thresh;
+    auto thresh = test::ci_options<2>();
     thresh.rebalance = true;
     thresh.rebalance_threshold = 0.9;
     EXPECT_THROW(MpSim<2>(cfg, layout, comm, model, init, thresh),

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <future>
@@ -293,6 +295,60 @@ TEST(Scheduler, AcceptsSubmissionsWhileRunning) {
   EXPECT_THROW(
       sched.submit(make_job(small_spec(62, Scenario::kUniform, 100, 1))),
       std::runtime_error);
+}
+
+// A trivial job that counts its live instances.
+class CountingJob : public SimJob {
+ public:
+  static inline std::atomic<int> live{0};
+
+  explicit CountingJob(const JobSpec& spec) : SimJob(spec) { ++live; }
+  ~CountingJob() override { --live; }
+
+  std::uint64_t advance(std::uint64_t n) override {
+    const std::uint64_t k = std::min(n, spec().steps - steps_);
+    steps_ += k;
+    return k;
+  }
+  bool done() const override { return steps_ >= spec().steps; }
+  std::uint64_t steps_done() const override { return steps_; }
+  std::uint64_t cost_units() const override { return steps_; }
+  Counters counters() const override { return {}; }
+  void write_checkpoint() const override {}
+
+ private:
+  std::uint64_t steps_ = 0;
+};
+
+// Serving memory is bounded by live jobs: a finished job is freed as soon
+// as its result is handed to the future, not when the scheduler goes.
+TEST(Scheduler, FreesFinishedJobsWhileAlive) {
+  smp::ThreadTeam team(2);
+  Scheduler sched(team, {.quantum_steps = 8});
+  std::vector<std::future<JobResult>> futs;
+  for (std::uint64_t id = 0; id < 6; ++id) {
+    futs.push_back(sched.submit(std::make_unique<CountingJob>(
+        small_spec(90 + id, Scenario::kUniform, 10, 20))));
+  }
+  EXPECT_EQ(CountingJob::live.load(), 6);
+  sched.drain();
+  EXPECT_EQ(CountingJob::live.load(), 0);
+  for (auto& f : futs) EXPECT_EQ(f.get().steps, 20u);
+}
+
+// A scheduler destroyed with jobs still queued frees them and breaks their
+// promises.
+TEST(Scheduler, AbandonedJobsBreakTheirPromises) {
+  std::future<JobResult> fut;
+  {
+    smp::ThreadTeam team(1);
+    Scheduler sched(team, {});
+    fut = sched.submit(std::make_unique<CountingJob>(
+        small_spec(99, Scenario::kUniform, 10, 20)));
+    EXPECT_EQ(CountingJob::live.load(), 1);
+  }
+  EXPECT_EQ(CountingJob::live.load(), 0);
+  EXPECT_THROW(fut.get(), std::future_error);
 }
 
 TEST(Scheduler, RejectsBadArguments) {

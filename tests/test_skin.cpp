@@ -1,22 +1,20 @@
-// Verlet skin lists: config validation of the widened radii, the
-// DriftTracker that all three drivers share, exact rebuild schedules under
-// the measured-drift trigger (serial, smp, mp), the skin's widening of the
+// Verlet skin lists: config validation of the widened radii, exact
+// rebuild schedules under the measured-drift trigger (serial, smp, mp),
+// a wall bounce that keeps the list valid, the skin's widening of the
 // reuse interval, cross-skin bit-identity with the binning capacity
 // pinned, and the mp path's skipped migrations / halo-template refreshes
 // / shared-window republications.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
+#include "ci_env.hpp"
 #include "core/config.hpp"
-#include "core/dynamics.hpp"
 #include "core/init.hpp"
 #include "core/serial_sim.hpp"
 #include "driver/mp_sim.hpp"
 #include "driver/smp_sim.hpp"
-#include "util/skin_cli.hpp"
 
 namespace hdem {
 namespace {
@@ -66,43 +64,6 @@ TEST(SkinConfig, BoxCheckUsesWidenedRadius) {
   EXPECT_NO_THROW(cfg.validate());
 }
 
-TEST(SkinCli, EnvDefault) {
-  ASSERT_EQ(::setenv("HDEM_SKIN", "0.25", 1), 0);
-  EXPECT_DOUBLE_EQ(skin_env_default(), 0.25);
-  ASSERT_EQ(::unsetenv("HDEM_SKIN"), 0);
-  EXPECT_DOUBLE_EQ(skin_env_default(), 0.0);
-}
-
-// -- the shared drift tracker -----------------------------------------------
-
-TEST(DriftTrackerTest, MeasuredModeFollowsTheMeasurement) {
-  DriftTracker t(/*measured=*/true, /*dt=*/1e-3);
-  double probe = 0.0;
-  t.advance(100.0, [&] { return probe; });  // max_v is ignored
-  EXPECT_DOUBLE_EQ(t.drift(), 0.0);
-  EXPECT_TRUE(t.valid(0.5));
-  probe = 0.7;
-  t.advance(0.0, [&] { return probe; });
-  EXPECT_DOUBLE_EQ(t.drift(), 0.7);
-  EXPECT_FALSE(t.valid(0.5));
-  probe = 0.1;  // measured drift may shrink (a particle turned back)
-  t.advance(0.0, [&] { return probe; });
-  EXPECT_DOUBLE_EQ(t.drift(), 0.1);
-  EXPECT_TRUE(t.valid(0.5));
-  t.reset();
-  EXPECT_DOUBLE_EQ(t.drift(), 0.0);
-}
-
-TEST(DriftTrackerTest, EstimatedModeAccumulatesMaxSpeed) {
-  DriftTracker t(/*measured=*/false, /*dt=*/0.5);
-  t.advance(1.0, [] { return 1000.0; });  // the measurement is ignored
-  t.advance(3.0, [] { return 1000.0; });
-  EXPECT_DOUBLE_EQ(t.drift(), 2.0);  // 1.0*0.5 + 3.0*0.5
-  EXPECT_FALSE(t.valid(2.0));
-  t.reset();
-  EXPECT_TRUE(t.valid(2.0));
-}
-
 // -- exact rebuild schedules ------------------------------------------------
 
 // A lone mover at constant velocity among distant stationary particles:
@@ -115,7 +76,7 @@ std::vector<ParticleInit<2>> mover_and_bystanders(double vx) {
 }
 
 SimConfig<2> schedule_config(double skin) {
-  SimConfig<2> cfg;
+  SimConfig<2> cfg = test::ci_config<2>();
   cfg.box = Vec<2>(1.0);
   cfg.bc = BoundaryKind::kPeriodic;
   cfg.dt = 5e-4;
@@ -169,7 +130,8 @@ TEST(SkinSchedule, MpMeasuredTriggerIsExactAndSkipsWholePipeline) {
     const auto layout = DecompLayout<2>::make(2, 1);
     mp::run(2, [&](mp::Comm& comm) {
       MpSim<2> sim(cfg, layout, comm,
-                   ElasticSphere{cfg.stiffness, cfg.diameter}, init);
+                   ElasticSphere{cfg.stiffness, cfg.diameter}, init,
+                   test::ci_options<2>());
       sim.run(kScheduleSteps);
       const Counters& c = sim.counters();
       EXPECT_EQ(c.rebuilds, e.rebuilds)
@@ -184,29 +146,21 @@ TEST(SkinSchedule, MpMeasuredTriggerIsExactAndSkipsWholePipeline) {
   }
 }
 
-// The measured trigger (PR 6) reacts to the true displacement, not the
-// accumulated speed bound: a particle that bounces off a wall and heads
-// back toward its rebuild-time position keeps the list valid, while the
-// estimated mode keeps integrating max_v*dt and rebuilds anyway.
+// The trigger reacts to the true displacement, not the distance
+// travelled: a particle that bounces off a wall and heads back toward its
+// rebuild-time position keeps the list valid, although it travels
+// 45 * 5 * 5e-4 = 0.1125, more than the allowance.
 TEST(SkinSchedule, MeasuredTriggerSurvivesAWallBounce) {
-  for (const bool measured : {true, false}) {
-    SimConfig<2> cfg;
-    cfg.box = Vec<2>(1.0);
-    cfg.bc = BoundaryKind::kWalls;
-    cfg.dt = 5e-4;
-    cfg.skin_factor = 1.9;  // allowance 0.08375
-    cfg.drift_measured = measured;
-    const std::vector<ParticleInit<2>> init = {{{0.979, 0.5}, {5.0, 0.0}}};
-    SerialSim<2> sim(cfg, ElasticSphere{cfg.stiffness, cfg.diameter}, init);
-    sim.run(45);
-    if (measured) {
-      // Bounce at ~step 9; net displacement never reaches the allowance.
-      EXPECT_EQ(sim.counters().rebuilds, 1u);
-    } else {
-      // 34 * 5 * 5e-4 = 0.085 >= 0.08375 at the start of step 35.
-      EXPECT_EQ(sim.counters().rebuilds, 2u);
-    }
-  }
+  SimConfig<2> cfg;
+  cfg.box = Vec<2>(1.0);
+  cfg.bc = BoundaryKind::kWalls;
+  cfg.dt = 5e-4;
+  cfg.skin_factor = 1.9;  // allowance 0.08375
+  const std::vector<ParticleInit<2>> init = {{{0.979, 0.5}, {5.0, 0.0}}};
+  SerialSim<2> sim(cfg, ElasticSphere{cfg.stiffness, cfg.diameter}, init);
+  sim.run(45);
+  // Bounce at ~step 9; net displacement never reaches the allowance.
+  EXPECT_EQ(sim.counters().rebuilds, 1u);
 }
 
 // -- cross-skin bit-identity ------------------------------------------------
@@ -261,7 +215,7 @@ TEST(SkinSharedWindow, RepublishesOnlyAtRebuilds) {
     const auto cfg = schedule_config(skin);
     const auto init = mover_and_bystanders(5.2);
     const auto layout = DecompLayout<2>::make(2, 1);
-    typename MpSim<2>::Options opts;
+    auto opts = test::ci_options<2>();
     opts.shared_halo = true;
     opts.ranks_per_node = 0;  // both ranks on one node
     mp::run(2, [&](mp::Comm& comm) {
