@@ -151,7 +151,7 @@ double steps_per_sec(const perf::MeasuredRun& m) {
 double rebuild_ns_per_iter(const perf::RunMeasurement& run) {
   const double ns = static_cast<double>(
       run.agg.rebuild_bin_ns + run.agg.rebuild_reorder_ns +
-      run.agg.rebuild_linkgen_ns + run.agg.rebuild_colorplan_ns);
+      run.agg.rebuild_linkgen_ns);
   return run.iterations ? ns / static_cast<double>(run.iterations) : 0.0;
 }
 

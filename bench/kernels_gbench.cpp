@@ -9,6 +9,7 @@
 #include "core/force_model.hpp"
 #include "core/init.hpp"
 #include "core/link_list.hpp"
+#include "core/rebuild.hpp"
 #include "mp/indexed.hpp"
 #include "reduction/force_pass.hpp"
 #include "smp/thread_team.hpp"
@@ -174,16 +175,38 @@ BENCHMARK(BM_SmpForcePass)
     ->Args({20000, 6, 8})   // colored at higher contention
     ->UseRealTime();
 
+// The whole serial link build with its statistics, cell-ordered periodic
+// system (args: n, fused).  fused = 0: the serial reference build_links
+// (snapshot, generate_links, build_color_plan, record_link_stats);
+// fused = 1: build_links_fused on the SoloTeam every driver's rebuild runs
+// at one thread.  Same list either way, so the pair prices the switch.
 void BM_LinkBuild(benchmark::State& state) {
   System sys(static_cast<std::uint64_t>(state.range(0)), true);
+  const bool fused = state.range(1) != 0;
+  SoloTeam solo;
+  FusedBuildScratch scratch;
+  std::vector<Vec<3>> cell_buf;
   for (auto _ : state) {
-    sys.rebuild_links();
+    Counters stats;
+    if (fused) {
+      build_links_fused(sys.list, sys.grid, sys.store.cpositions(),
+                        sys.store.size(), sys.cfg.cutoff(), sys.bc.pair_disp(),
+                        solo, scratch, cell_buf, &stats);
+    } else {
+      build_links(sys.list, sys.grid, sys.store.cpositions(), sys.store.size(),
+                  sys.cfg.cutoff(), sys.bc.pair_disp(), &stats);
+    }
     benchmark::DoNotOptimize(sys.list.links.data());
+    benchmark::DoNotOptimize(stats.link_gap_sum);
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
+  state.SetLabel(fused ? "fused/solo" : "serial-reference");
 }
-BENCHMARK(BM_LinkBuild)->Arg(20000)->Arg(100000);
+BENCHMARK(BM_LinkBuild)
+    ->ArgNames({"n", "fused"})
+    ->ArgsProduct({{20000, 100000}, {0, 1}});
 
 // Link generation alone (snapshot + kernel, no color plan), one thread, at
 // paper density (args: n, ordered).  ordered = 1: periodic box with the

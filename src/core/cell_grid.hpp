@@ -22,6 +22,20 @@
 
 namespace hdem {
 
+// Contiguous share of [0, total) for team member tid of t: the same static
+// block split as smp::static_block (remainder spread over the first
+// members).  Any contiguous ascending partition keeps the parallel rebuild
+// stages exact; matching the team's convention keeps ranges cache-aligned
+// with the other parallel loops.
+inline std::pair<std::size_t, std::size_t> split_range(std::size_t total,
+                                                       int tid, int t) {
+  const std::size_t chunk = total / static_cast<std::size_t>(t);
+  const std::size_t rem = total % static_cast<std::size_t>(t);
+  const auto id = static_cast<std::size_t>(tid);
+  const std::size_t lo = chunk * id + (id < rem ? id : rem);
+  return {lo, lo + chunk + (id < rem ? 1 : 0)};
+}
+
 template <int D>
 class CellGrid {
  public:
@@ -283,20 +297,6 @@ class CellGrid {
   }
 
  private:
-  // Contiguous share of [0, total) for team member tid: the same static
-  // block split as smp::static_block (remainder spread over the first
-  // members).  Any contiguous ascending partition keeps the parallel sort
-  // stable; matching the team's convention keeps ranges cache-aligned with
-  // the other parallel loops.
-  static std::pair<std::size_t, std::size_t> split_range(std::size_t total,
-                                                         int tid, int t) {
-    const std::size_t chunk = total / static_cast<std::size_t>(t);
-    const std::size_t rem = total % static_cast<std::size_t>(t);
-    const auto id = static_cast<std::size_t>(tid);
-    const std::size_t lo = chunk * id + (id < rem ? id : rem);
-    return {lo, lo + chunk + (id < rem ? 1 : 0)};
-  }
-
   Vec<D> lo_{};
   std::array<int, D> dims_{};
   Vec<D> cell_size_{};

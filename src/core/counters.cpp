@@ -64,7 +64,6 @@ Counters& Counters::merge(const Counters& o) {
   rebuild_bin_ns += o.rebuild_bin_ns;
   rebuild_reorder_ns += o.rebuild_reorder_ns;
   rebuild_linkgen_ns += o.rebuild_linkgen_ns;
-  rebuild_colorplan_ns += o.rebuild_colorplan_ns;
   // rebalances/blocks_reassigned are global decisions repeated on every
   // rank (max, like rebuilds); block costs are per-rank-disjoint (append);
   // thread costs overlay team slots (element-wise add).
@@ -163,8 +162,6 @@ Counters counters_delta(const Counters& after, const Counters& before) {
   d.rebuild_bin_ns = after.rebuild_bin_ns - before.rebuild_bin_ns;
   d.rebuild_reorder_ns = after.rebuild_reorder_ns - before.rebuild_reorder_ns;
   d.rebuild_linkgen_ns = after.rebuild_linkgen_ns - before.rebuild_linkgen_ns;
-  d.rebuild_colorplan_ns =
-      after.rebuild_colorplan_ns - before.rebuild_colorplan_ns;
   d.rebalances = after.rebalances - before.rebalances;
   d.blocks_reassigned = after.blocks_reassigned - before.blocks_reassigned;
   // Cost vectors subtract element-wise when the shapes still match; a
@@ -241,8 +238,7 @@ std::string Counters::summary() const {
      << " thread_imbalance=" << thread_imbalance() << "\n"
      << "rebuild: bin_ns=" << rebuild_bin_ns
      << " reorder_ns=" << rebuild_reorder_ns
-     << " linkgen_ns=" << rebuild_linkgen_ns
-     << " colorplan_ns=" << rebuild_colorplan_ns << "\n";
+     << " linkgen_ns=" << rebuild_linkgen_ns << "\n";
   return os.str();
 }
 

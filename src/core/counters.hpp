@@ -144,14 +144,13 @@ struct Counters {
   double thread_imbalance() const { return imbalance_ratio(thread_cost_ns); }
 
   // -- rebuild phases (cumulative nanoseconds) --------------------------------
-  // Wall time per rebuild stage, accumulated by the drivers; the rebuild
-  // scaling bench and trace summaries read the breakdown from here.  When
-  // the fused link build is active (threaded drivers) the color plan is
-  // produced inside link generation and rebuild_colorplan_ns stays zero.
-  std::uint64_t rebuild_bin_ns = 0;        // counting-sort binning
-  std::uint64_t rebuild_reorder_ns = 0;    // cell-order permutation
-  std::uint64_t rebuild_linkgen_ns = 0;    // link generation (+ fused plan)
-  std::uint64_t rebuild_colorplan_ns = 0;  // separate color-plan sort
+  // Wall time per rebuild stage (core/rebuild.hpp), accumulated by the
+  // drivers; the rebuild scaling bench and trace summaries read the
+  // breakdown from here.  The fused link build produces the color plan
+  // inside link generation.
+  std::uint64_t rebuild_bin_ns = 0;      // counting-sort binning
+  std::uint64_t rebuild_reorder_ns = 0;  // cell-order permutation
+  std::uint64_t rebuild_linkgen_ns = 0;  // link generation + color plan
 
   // Accumulate another counter set (e.g. merging per-rank counters).
   // "Current" quantities (particles, links_core, ...) add as well, which is

@@ -6,8 +6,14 @@
 #pragma once
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <span>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/boundary.hpp"
 #include "core/counters.hpp"
@@ -102,10 +108,13 @@ void kick_drift_range_w(ParticleStore<D>& store, std::size_t lo,
 
 // Max over particles of |pos[i] - ref[i]|^2 via strided component loads;
 // max over non-NaN doubles is order-independent, so a pack max + scalar
-// tail is exact at any width.
+// tail is exact at any width (W = 1 is the scalar loop).  The same pass
+// sums the squares into `sum`: max drops a NaN, the sum carries it (and
+// inf) through.
 template <int D, int W>
 double max_displacement_w(std::span<const Vec<D>> pos,
-                          std::span<const Vec<D>> ref, std::size_t n) {
+                          std::span<const Vec<D>> ref, std::size_t n,
+                          double& sum) {
   using P = simd::pack<double, W>;
   static_assert(sizeof(Vec<D>) == D * sizeof(double));
   const double* posf = reinterpret_cast<const double*>(pos.data());
@@ -114,6 +123,7 @@ double max_displacement_w(std::span<const Vec<D>> pos,
   std::size_t i = 0;
   if (i + W <= n) {
     P pmax = P::zero();
+    P psum = P::zero();
     for (; i + W <= n; i += W) {
       P acc = P::zero();
       for (int d = 0; d < D; ++d) {
@@ -123,12 +133,15 @@ double max_displacement_w(std::span<const Vec<D>> pos,
         acc = acc + c * c;
       }
       pmax = max(pmax, acc);
+      psum = psum + acc;
     }
     max_d2 = pmax.hmax();
+    sum = psum.hsum_ordered();
   }
   for (; i < n; ++i) {
     const double d2 = norm2(pos[i] - ref[i]);
     if (d2 > max_d2) max_d2 = d2;
+    sum += d2;
   }
   return max_d2;
 }
@@ -204,27 +217,27 @@ void kick_drift(ParticleStore<D>& store, std::size_t ncore, double dt,
 }
 
 // Maximum displacement of the first n particles relative to reference
-// positions recorded at the last rebuild — the measured drift every
-// driver compares with SimConfig::drift_allowance() to decide when the
-// link list must be rebuilt.  Max is order-independent, so the result is
-// bit-identical at every SIMD width and under any partitioning of the
-// range.
+// positions recorded at the last rebuild (the drift RebuildTrigger
+// compares with SimConfig::drift_allowance()), or +inf when some
+// displacement is not finite.  Max is order-independent, so a finite
+// result is bit-identical at every SIMD width and under any partitioning
+// of the range.
 template <int D>
 double max_displacement(std::span<const Vec<D>> pos,
                         std::span<const Vec<D>> ref, std::size_t n) {
-  const int w = simd::dispatch_width();
-  if constexpr (simd::kMaxWidth >= 4) {
-    if (w >= 4) return std::sqrt(detail::max_displacement_w<D, 4>(pos, ref, n));
-  }
-  if constexpr (simd::kMaxWidth >= 2) {
-    if (w >= 2) return std::sqrt(detail::max_displacement_w<D, 2>(pos, ref, n));
-  }
-  double max_d2 = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double d2 = norm2(pos[i] - ref[i]);
-    if (d2 > max_d2) max_d2 = d2;
-  }
-  return std::sqrt(max_d2);
+  double sum = 0.0;
+  const double max_d2 = [&] {
+    const int w = simd::dispatch_width();
+    if constexpr (simd::kMaxWidth >= 4) {
+      if (w >= 4) return detail::max_displacement_w<D, 4>(pos, ref, n, sum);
+    }
+    if constexpr (simd::kMaxWidth >= 2) {
+      if (w >= 2) return detail::max_displacement_w<D, 2>(pos, ref, n, sum);
+    }
+    return detail::max_displacement_w<D, 1>(pos, ref, n, sum);
+  }();
+  return std::isfinite(sum) ? std::sqrt(max_d2)
+                            : std::numeric_limits<double>::infinity();
 }
 
 // Kinetic energy of the first ncore particles (unit mass).  The per-
@@ -244,5 +257,108 @@ double kinetic_energy(const ParticleStore<D>& store, std::size_t ncore) {
   for (std::size_t i = 0; i < ncore; ++i) ke += 0.5 * norm2(vel[i]);
   return ke;
 }
+
+// A step left a particle with a non-finite position (a corrupt input or a
+// blown-up force).  `step` is the index of the step whose update produced
+// it (Counters::iterations when caught, so the first step is 0);
+// `particle` is the lowest offending particle id.
+struct SimulationDiverged : std::runtime_error {
+  SimulationDiverged(std::uint64_t at_step, std::int32_t id)
+      : std::runtime_error("simulation diverged at step " +
+                           std::to_string(at_step) + ", particle " +
+                           std::to_string(id)),
+        step(at_step),
+        particle(id) {}
+  std::uint64_t step;
+  std::int32_t particle;
+};
+
+// The measured rebuild trigger every driver runs ("until list is no longer
+// valid").  It owns the rebuild-time reference positions (one flat array,
+// one segment per store, i.e. per MpSim block), the measured drift since
+// then, and the validity test against SimConfig::drift_allowance().  The
+// drift scan doubles as the state guard: a non-finite displacement stops
+// the run with SimulationDiverged.
+template <int D>
+class RebuildTrigger {
+ public:
+  static constexpr std::int32_t kNoParticle =
+      std::numeric_limits<std::int32_t>::max();
+
+  explicit RebuildTrigger(double allowance) : allowance_(allowance) {}
+
+  bool list_valid() const { return drift_ < allowance_; }
+
+  // The step prelude: rebuild when the list is no longer valid, otherwise
+  // (after the first step) count the reuse.  Returns whether it counted
+  // one.
+  template <class Rebuild>
+  bool prepare_step(Counters& counters, Rebuild&& rebuild) {
+    if (!list_valid()) {
+      rebuild();
+      return false;
+    }
+    if (counters.iterations == 0) return false;
+    ++counters.rebuilds_skipped;
+    return true;
+  }
+
+  // At a rebuild: drop the old reference, then record every segment (the
+  // first n particles of a store, `total` over all of them) in the order
+  // scan() will visit them.  Reserving the total keeps the array exact.
+  void reset(std::size_t total) {
+    ref_.clear();
+    ref_.reserve(total);
+    seg_.assign(1, 0);
+    drift_ = 0.0;
+  }
+  void record(const ParticleStore<D>& store, std::size_t n) {
+    const auto pos = store.cpositions();
+    ref_.insert(ref_.end(), pos.begin(),
+                pos.begin() + static_cast<std::ptrdiff_t>(n));
+    seg_.push_back(ref_.size());
+  }
+
+  // Largest displacement of segment k's particles since the rebuild, or
+  // +inf when one is not finite (the lowest offending id is then kept for
+  // settle()).
+  double scan(std::size_t k, const ParticleStore<D>& store) {
+    const std::size_t n = seg_[k + 1] - seg_[k];
+    const std::span<const Vec<D>> ref(ref_.data() + seg_[k], n);
+    const auto pos = store.cpositions();
+    const double d = max_displacement<D>(pos, ref, n);
+    for (std::size_t i = 0; std::isinf(d) && i < n; ++i) {
+      if (!std::isfinite(norm2(pos[i] - ref[i])) && store.id(i) < bad_) {
+        bad_ = store.id(i);
+      }
+    }
+    return d;
+  }
+
+  // Adopt the measured drift (MpSim: the kMax allreduce of the ranks'
+  // scans).  +inf means some store diverged: `agree` turns this caller's
+  // lowest offending id (kNoParticle when it has none) into the global
+  // lowest (MpSim: a kMin allreduce, run only on this path), so every
+  // caller throws the same SimulationDiverged.
+  template <class Agree>
+  void settle(double drift, std::uint64_t step, Agree&& agree) {
+    drift_ = drift;
+    if (!std::isinf(drift)) return;
+    const std::int32_t id = agree(std::exchange(bad_, kNoParticle));
+    throw SimulationDiverged(step, id);
+  }
+
+  // One-store drivers: scan and settle in one call.
+  void measure(const ParticleStore<D>& store, std::uint64_t step) {
+    settle(scan(0, store), step, [](std::int32_t id) { return id; });
+  }
+
+ private:
+  double allowance_;
+  double drift_ = 0.0;
+  std::vector<Vec<D>> ref_;
+  std::vector<std::size_t> seg_{0};
+  std::int32_t bad_ = kNoParticle;
+};
 
 }  // namespace hdem

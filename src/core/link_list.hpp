@@ -149,14 +149,6 @@ struct LinkList {
   std::size_t n_core = 0;  // links[0, n_core) have both ends core
   ColorPlan plan;          // rebuilt with the list (see build_color_plan)
 
-  // Rebuild scratch, reused across rebuilds to avoid per-rebuild
-  // allocations: halo links collected before splicing, the colored
-  // reorder's temporaries, and its per-chunk counting-sort offsets.
-  LinkVector halo_scratch;
-  LinkVector sort_scratch;
-  std::vector<std::int32_t> chunk_scratch;
-  std::vector<std::size_t> start_scratch;
-
   std::span<const Link> core() const { return {links.data(), n_core}; }
   std::span<const Link> halo() const {
     return {links.data() + n_core, links.size() - n_core};
@@ -465,15 +457,11 @@ void build_color_plan(LinkList& list, const CellGrid<D>& grid,
   plan.halo_lo.assign(nsz, 0);
   plan.halo_hi.assign(nsz, 0);
 
-  auto& chunk = list.chunk_scratch;
-  auto& tmp = list.sort_scratch;
-  auto& start = list.start_scratch;
-  chunk.resize(list.links.size());
-
+  std::vector<std::int32_t> chunk(list.links.size());
   auto reorder_section = [&](std::size_t lo, std::size_t hi,
                              std::vector<std::size_t>& out_lo,
                              std::vector<std::size_t>& out_hi) {
-    start.assign(nsz + 1, 0);
+    std::vector<std::size_t> start(nsz + 1, 0);
     for (std::size_t l = lo; l < hi; ++l) {
       const Link& ln = list.links[l];
       int sp = grid.slab_of_position(pos[static_cast<std::size_t>(ln.i)]);
@@ -491,7 +479,7 @@ void build_color_plan(LinkList& list, const CellGrid<D>& grid,
       out_lo[static_cast<std::size_t>(c)] = lo + start[r];
       out_hi[static_cast<std::size_t>(c)] = lo + start[r + 1];
     }
-    tmp.resize(hi - lo);
+    LinkVector tmp(hi - lo);
     for (std::size_t l = lo; l < hi; ++l) {
       const auto r = static_cast<std::size_t>(cm.rank_of_chunk(chunk[l]));
       tmp[start[r]++] = list.links[l];
@@ -510,16 +498,16 @@ void generate_links(LinkList& out, const CellGrid<D>& grid,
                     const CellSnapshot<D>& cells, std::size_t ncore, double rc,
                     const PairDisp<D>& disp) {
   out.clear();
-  out.halo_scratch.clear();
+  LinkVector halo;
   build_links_range(grid, cells, ncore, rc, disp, 0, grid.ncells(), out.links,
-                    out.halo_scratch);
+                    halo);
   out.n_core = out.links.size();
-  out.links.insert(out.links.end(), out.halo_scratch.begin(),
-                   out.halo_scratch.end());
+  out.links.insert(out.links.end(), halo.begin(), halo.end());
 }
 
-// Serial convenience wrapper: snapshot, build the whole list in one pass,
-// then group it into color classes.
+// The serial reference build: snapshot, build the whole list in one pass,
+// group it into color classes.  Every driver runs build_links_fused, which
+// the tests hold to this byte for byte.
 template <int D>
 void build_links(LinkList& out, const CellGrid<D>& grid,
                  std::span<const Vec<D>> pos, std::size_t ncore, double rc,
@@ -608,27 +596,14 @@ void build_links_fused(LinkList& out, const CellGrid<D>& grid,
                                grid.order()}
              : CellSnapshot<D>{pos.first(nentries), grid.order()};
 
-  // Static split of [0, total), same convention as smp::static_block
-  // (remainder spread over the first members).  Correctness only needs
-  // contiguous ascending cell ranges; matching the team's convention keeps
-  // the split aligned with the force pass's cell-derived work.
-  auto split = [&](std::size_t total, int tid) {
-    const std::size_t chunk = total / tsz;
-    const std::size_t rem = total % tsz;
-    const auto id = static_cast<std::size_t>(tid);
-    const std::size_t lo = chunk * id + (id < rem ? id : rem);
-    return std::pair<std::size_t, std::size_t>{
-        lo, lo + chunk + (id < rem ? 1 : 0)};
-  };
-
   team.parallel([&](int tid) {
     const auto t = static_cast<std::size_t>(tid);
     if (gather) {
-      const auto [k_lo, k_hi] = split(nentries, tid);
+      const auto [k_lo, k_hi] = split_range(nentries, tid, t_count);
       gather_cell_positions(grid, pos, cell_buf, k_lo, k_hi);
       team.barrier();
     }
-    const auto [lo, hi] = split(ncells, tid);
+    const auto [lo, hi] = split_range(ncells, tid, t_count);
     auto& cbuf = scratch.core_buf[t];
     auto& hbuf = scratch.halo_buf[t];
     cbuf.clear();

@@ -3,7 +3,9 @@
 // Pure message passing (nthreads = 1): the paper's MPI implementation —
 // block-cyclic domain decomposition, per-block halo swaps with indexed
 // templates, migration at rebuilds, global reductions for energies and the
-// rebuild criterion.
+// rebuild criterion.  It is the hybrid code on a one-member team, which
+// starts no thread and runs every region inline; only the force pass keeps
+// a plain per-block loop.
 //
 // Hybrid (nthreads > 1): "The domain decomposition gives each MPI process
 // a set of blocks with accompanying halos.  The OpenMP parallelisation
@@ -20,7 +22,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -31,6 +32,7 @@
 #include "core/dynamics.hpp"
 #include "core/force_model.hpp"
 #include "core/init.hpp"
+#include "core/rebuild.hpp"
 #include "core/step_loop.hpp"
 #include "decomp/block.hpp"
 #include "decomp/halo.hpp"
@@ -104,14 +106,12 @@ class MpSim {
         // widened width rc + skin: the extra ring of copies is what lets
         // one template survive every step of a list-reuse interval.
         halo_(layout_, boundary_, cfg.list_radius()),
-        opts_(opts) {
+        opts_(opts),
+        trigger_(cfg.drift_allowance()) {
     cfg_.validate();
     layout_.validate(cfg_);
     if (layout_.nprocs() != comm.size()) {
       throw std::invalid_argument("MpSim: layout rank count != comm size");
-    }
-    if (opts_.nthreads < 1) {
-      throw std::invalid_argument("MpSim: nthreads < 1");
     }
     if (opts_.fused && opts_.nthreads < 2) {
       throw std::invalid_argument("MpSim: fused mode requires a thread team");
@@ -133,9 +133,7 @@ class MpSim {
     if (opts_.rebalance_threshold < 1.0) {
       throw std::invalid_argument("MpSim: rebalance threshold below 1.0");
     }
-    if (opts_.nthreads > 1) {
-      team_ = std::make_unique<smp::ThreadTeam>(opts_.nthreads);
-    }
+    team_ = std::make_unique<smp::ThreadTeam>(opts_.nthreads);
     if (opts_.shared_halo) {
       halo_.enable_shared_windows(mp::NodeMap(opts_.ranks_per_node));
     }
@@ -168,22 +166,18 @@ class MpSim {
       }
     }
     counters_.blocks = blocks_.size();
-    if (team_) accs_.resize(blocks_.size());
     rebuild();
   }
 
-  bool hybrid() const { return team_ != nullptr; }
+  bool hybrid() const { return opts_.nthreads > 1; }
 
   void step() {
-    if (!list_valid()) {
-      rebuild();
-    } else if (counters_.iterations > 0) {
+    if (trigger_.prepare_step(counters_, [&] { rebuild(); })) {
       // A reused list skips the whole rebuild pipeline: no migration
       // check, no halo-template refresh (and hence no shared-window
       // republication), no link regeneration.  The per-step halo swap
       // still runs — positions change every step — but against the
       // templates built at the widened width.
-      ++counters_.rebuilds_skipped;
       ++counters_.migrations_skipped;
       ++counters_.halo_rebuilds_skipped;
     }
@@ -198,13 +192,8 @@ class MpSim {
       trace::Scope scope(trace::Phase::kHaloWait, comm_->rank());
       halo_.finish_swap(blocks_, *comm_, counters_);
     }
-    // Halo copies are geometrically shifted, so displacement is plain
-    // xi - xj; PairDisp (not an opaque lambda) keeps the batched kernel's
-    // vector gather phase active.
-    const PairDisp<D> disp{};
-
     potential_ = 0.0;
-    if (team_ && opts_.fused) {
+    if (opts_.fused) {
       const bool colored = opts_.reduction == ReductionKind::kColored;
       if (opts_.overlap) {
         double pe_core = 0.0;
@@ -234,35 +223,18 @@ class MpSim {
       for (std::size_t k = 0; k < blocks_.size(); ++k) {
         block_cost_ns_[k] += blocks_[k].links.size();
       }
-      {
-        trace::Scope scope(trace::Phase::kUpdate, comm_->rank());
-        fused_update_positions();
-      }
-      trace::Scope scope(trace::Phase::kCollective, comm_->rank());
-      advance_drift();
-      ++counters_.iterations;
-      return;
-    }
-    if (opts_.overlap) {
-      // Every block's core-link pass runs while halo messages are in
-      // flight; halo-link passes and updates follow the completed swap.
-      pe_scratch_.assign(blocks_.size() * 2, 0.0);
-      for (std::size_t k = 0; k < blocks_.size(); ++k) {
-        auto& b = blocks_[k];
-        trace::Scope scope(trace::Phase::kForce, comm_->rank());
-        if (team_) {
-          pe_scratch_[2 * k] = dispatch_force_pass<D>(
-              accs_[k], *team_, b.links, b.store, model_, disp, &counters_,
-              ForceSection::kCore);
-        } else {
-          zero_forces(b.store);
-          pe_scratch_[2 * k] = accumulate_forces<D>(
-              b.links.core(), b.store, model_, disp, /*update_both=*/true,
-              1.0, &counters_);
+      trace::Scope scope(trace::Phase::kUpdate, comm_->rank());
+      fused_update_positions();
+    } else {
+      if (opts_.overlap) {
+        // Every block's core-link pass runs while halo messages are in
+        // flight; halo-link passes and updates follow the completed swap.
+        pe_scratch_.assign(blocks_.size() * 2, 0.0);
+        for (std::size_t k = 0; k < blocks_.size(); ++k) {
+          trace::Scope scope(trace::Phase::kForce, comm_->rank());
+          block_forces(k, ForceSection::kCore, pe_scratch_[2 * k]);
+          block_cost_ns_[k] += blocks_[k].links.n_core;
         }
-        block_cost_ns_[k] += b.links.n_core;
-      }
-      {
         trace::Scope scope(trace::Phase::kHaloWait, comm_->rank());
         halo_.finish_swap(blocks_, *comm_, counters_);
       }
@@ -270,62 +242,24 @@ class MpSim {
         auto& b = blocks_[k];
         {
           trace::Scope scope(trace::Phase::kForce, comm_->rank());
-          if (team_) {
-            pe_scratch_[2 * k + 1] = dispatch_force_pass<D>(
-                accs_[k], *team_, b.links, b.store, model_, disp, &counters_,
-                ForceSection::kHalo);
+          if (opts_.overlap) {
+            block_forces(k, ForceSection::kHalo, pe_scratch_[2 * k + 1]);
+            block_cost_ns_[k] += b.links.size() - b.links.n_core;
           } else {
-            pe_scratch_[2 * k + 1] = accumulate_forces<D>(
-                b.links.halo(), b.store, model_, disp, /*update_both=*/false,
-                0.5, &counters_);
+            block_forces(k, ForceSection::kAll, potential_);
+            block_cost_ns_[k] += b.links.size();
           }
-          block_cost_ns_[k] += b.links.size() - b.links.n_core;
         }
         trace::Scope scope(trace::Phase::kUpdate, comm_->rank());
-        if (team_) {
-          smp_update_positions(*team_, b.store, b.ncore, cfg_.dt,
-                               cfg_.gravity, boundary_, &counters_);
-        } else {
-          kick_drift(b.store, b.ncore, cfg_.dt, cfg_.gravity, boundary_,
-                     &counters_);
-        }
+        smp_update_positions(*team_, b.store, b.ncore, cfg_.dt, cfg_.gravity,
+                             boundary_, &counters_);
       }
-      // Sum per-block energies in the synchronous schedule's core-then-
-      // halo block order, so the reported potential is bit-identical too.
-      for (std::size_t k = 0; k < blocks_.size(); ++k) {
+      // Sum the overlapped schedule's per-block energies in the synchronous
+      // schedule's core-then-halo block order, so the reported potential is
+      // bit-identical too.
+      for (std::size_t k = 0; opts_.overlap && k < blocks_.size(); ++k) {
         potential_ += pe_scratch_[2 * k];
         potential_ += pe_scratch_[2 * k + 1];
-      }
-    } else {
-      for (std::size_t k = 0; k < blocks_.size(); ++k) {
-        auto& b = blocks_[k];
-        if (team_) {
-          {
-            trace::Scope scope(trace::Phase::kForce, comm_->rank());
-            potential_ += dispatch_force_pass<D>(accs_[k], *team_, b.links,
-                                                 b.store, model_, disp,
-                                                 &counters_);
-            block_cost_ns_[k] += b.links.size();
-          }
-          trace::Scope scope(trace::Phase::kUpdate, comm_->rank());
-          smp_update_positions(*team_, b.store, b.ncore, cfg_.dt,
-                               cfg_.gravity, boundary_, &counters_);
-        } else {
-          {
-            trace::Scope scope(trace::Phase::kForce, comm_->rank());
-            zero_forces(b.store);
-            potential_ += accumulate_forces<D>(b.links.core(), b.store, model_,
-                                               disp, /*update_both=*/true, 1.0,
-                                               &counters_);
-            potential_ += accumulate_forces<D>(b.links.halo(), b.store, model_,
-                                               disp, /*update_both=*/false, 0.5,
-                                               &counters_);
-            block_cost_ns_[k] += b.links.size();
-          }
-          trace::Scope scope(trace::Phase::kUpdate, comm_->rank());
-          kick_drift(b.store, b.ncore, cfg_.dt, cfg_.gravity, boundary_,
-                     &counters_);
-        }
       }
     }
 
@@ -341,7 +275,7 @@ class MpSim {
     StepLoop<MpSim>(*this, iterations).advance(iterations);
   }
 
-  bool list_valid() const { return drift_ < cfg_.drift_allowance(); }
+  bool list_valid() const { return trigger_.list_valid(); }
 
   void rebuild() {
     for (auto& b : blocks_) b.store.truncate(b.ncore);
@@ -357,41 +291,20 @@ class MpSim {
 
     // Cells (and the halo margin around the block) are sized for
     // binning_radius() >= rc + skin so the one-cell stencil still covers
-    // the widened candidate radius.
+    // the widened candidate radius.  Core-only binning first: it gives the
+    // reorder permutation and selects the halo templates.
     const Vec<D> margin_vec(cfg_.binning_radius());
-    {
-      // Core-only binning for the reorder permutation and halo templates.
-      // The hybrid scheme runs the whole pipeline on the team; the pure
-      // message-passing scheme keeps the serial counting sort per block.
-      trace::Scope scope(trace::Phase::kBin, comm_->rank());
-      Timer t;
-      for (auto& b : blocks_) {
-        b.grid.configure(b.lo - margin_vec, b.hi + margin_vec,
-                         cfg_.binning_radius(), no_wrap());
-        if (team_) {
-          b.grid.bin_parallel(b.store.cpositions(), b.ncore, *team_);
-        } else {
-          b.grid.bin(b.store.positions(), b.ncore);
-        }
+    const std::int32_t rank = comm_->rank();
+    for (auto& b : blocks_) {
+      b.grid.configure(b.lo - margin_vec, b.hi + margin_vec,
+                       cfg_.binning_radius(), wrap_flags<D>(false));
+      bin_stage(b.grid, b.store, b.ncore, nullptr, *team_, counters_, rank);
+      if (cfg_.reorder) {
+        reorder_stage(b.grid, b.store, b.ncore, *team_, counters_, rank);
       }
-      counters_.rebuild_bin_ns += t.nanoseconds();
-    }
-    if (cfg_.reorder) {
-      trace::Scope scope(trace::Phase::kReorder, comm_->rank());
-      Timer t;
-      for (auto& b : blocks_) {
-        if (team_) {
-          b.store.apply_permutation_parallel(b.grid.order(), b.ncore, *team_);
-        } else {
-          b.store.apply_permutation(b.grid.order(), b.ncore);
-        }
-        b.grid.reset_order_to_identity();
-        ++counters_.reorders;
-      }
-      counters_.rebuild_reorder_ns += t.nanoseconds();
     }
     {
-      trace::Scope scope(trace::Phase::kHaloBuild, comm_->rank());
+      trace::Scope scope(trace::Phase::kHaloBuild, rank);
       halo_.build_templates(blocks_, *comm_, counters_);
     }
 
@@ -399,65 +312,25 @@ class MpSim {
     counters_.links_halo = 0;
     counters_.halo_particles = 0;
     counters_.particles = 0;
-    // Halo copies carry shifted coordinates, so the displacement is plain
-    // xi - xj.
-    const PairDisp<D> disp{};
-    trace::Scope link_scope(trace::Phase::kLinkBuild, comm_->rank());
-    for (std::size_t k = 0; k < blocks_.size(); ++k) {
-      auto& b = blocks_[k];
-      {
-        // Re-bin including the fresh halo copies.
-        trace::Scope scope(trace::Phase::kBin, comm_->rank());
-        Timer t;
-        if (team_) {
-          b.grid.bin_parallel(b.store.cpositions(), b.store.size(), *team_);
-        } else {
-          b.grid.bin(b.store.positions(), b.store.size());
-        }
-        counters_.rebuild_bin_ns += t.nanoseconds();
-      }
-      if (team_) {
-        // Fused build: list + color plan in one pass (see link_list.hpp).
-        trace::Scope scope(trace::Phase::kLinkGen, comm_->rank());
-        Timer t;
-        build_links_fused(b.links, b.grid, b.store.cpositions(), b.ncore,
-                          cfg_.list_radius(), disp, *team_,
-                          fused_link_scratch_, b.store.gather_scratch(),
-                          &counters_);
-        counters_.rebuild_linkgen_ns += t.nanoseconds();
-      } else {
-        {
-          trace::Scope scope(trace::Phase::kLinkGen, comm_->rank());
-          Timer t;
-          const auto cells = snapshot_cells(b.grid, b.store.cpositions(),
-                                            b.store.gather_scratch());
-          generate_links(b.links, b.grid, cells, b.ncore, cfg_.list_radius(),
-                         disp);
-          counters_.rebuild_linkgen_ns += t.nanoseconds();
-        }
-        {
-          trace::Scope scope(trace::Phase::kColorPlan, comm_->rank());
-          Timer t;
-          build_color_plan(b.links, b.grid, b.store.cpositions());
-          counters_.rebuild_colorplan_ns += t.nanoseconds();
-        }
-        record_link_stats(b.links, counters_);
-      }
+    std::size_t ncore = 0;
+    for (const auto& b : blocks_) ncore += b.ncore;
+    trigger_.reset(ncore);
+    trace::Scope link_scope(trace::Phase::kLinkBuild, rank);
+    for (auto& b : blocks_) {
+      // Re-bin including the fresh halo copies.  They carry shifted
+      // coordinates, so the displacement is plain xi - xj.
+      bin_stage(b.grid, b.store, b.store.size(), nullptr, *team_, counters_,
+                rank);
+      link_stage(b.links, b.grid, b.store, b.ncore, cfg_.list_radius(),
+                 PairDisp<D>{}, *team_, fused_link_scratch_, counters_, rank);
       counters_.halo_particles += b.halo_count();
       counters_.particles += b.ncore;
+      trigger_.record(b.store, b.ncore);
     }
-    if (team_) prepare_team_accumulators();
-    ref_pos_.resize(blocks_.size());
-    for (std::size_t k = 0; k < blocks_.size(); ++k) {
-      const auto pos = blocks_[k].store.cpositions();
-      ref_pos_[k].assign(pos.begin(),
-                         pos.begin() + static_cast<std::ptrdiff_t>(
-                                           blocks_[k].ncore));
-    }
+    if (hybrid()) prepare_team_accumulators();
     // Fresh cost window for the next rebuild interval (and the right size
     // after a block handoff).
     block_cost_ns_.assign(blocks_.size(), 0);
-    drift_ = 0.0;
     ++counters_.rebuilds;
   }
 
@@ -504,7 +377,7 @@ class MpSim {
     c.bytes_overlapped = mc.bytes_overlapped;
     c.bytes_exposed = mc.bytes_exposed;
     c.exposed_wait_ns = mc.exposed_wait_ns;
-    if (team_) {
+    if (hybrid()) {
       c.parallel_regions = team_->regions();
       c.barriers = team_->barriers();
       c.critical_sections = team_->criticals();
@@ -557,6 +430,31 @@ class MpSim {
     counters_.blocks_reassigned += moved;
     ++counters_.rebalances;
     counters_.blocks = blocks_.size();
+  }
+
+  // One block's force pass over `section`, added into `pe`: the team's
+  // reduction strategy on the hybrid scheme, the plain serial loops at one
+  // thread (the strategies cost and count differently there).
+  void block_forces(std::size_t k, ForceSection section, double& pe) {
+    auto& b = blocks_[k];
+    // Halo copies are geometrically shifted, so displacement is plain
+    // xi - xj; PairDisp (not an opaque lambda) keeps the batched kernel's
+    // vector gather phase active.
+    const PairDisp<D> disp{};
+    if (hybrid()) {
+      pe += dispatch_force_pass<D>(accs_[k], *team_, b.links, b.store, model_,
+                                   disp, &counters_, section);
+      return;
+    }
+    if (section != ForceSection::kHalo) {
+      zero_forces(b.store);
+      pe += accumulate_forces<D>(b.links.core(), b.store, model_, disp,
+                                 /*update_both=*/true, 1.0, &counters_);
+    }
+    if (section != ForceSection::kCore) {
+      pe += accumulate_forces<D>(b.links.halo(), b.store, model_, disp,
+                                 /*update_both=*/false, 0.5, &counters_);
+    }
   }
 
   void prepare_team_accumulators() {
@@ -893,28 +791,25 @@ class MpSim {
     counters_.position_updates += static_cast<std::uint64_t>(total);
   }
 
-  static std::array<bool, D> no_wrap() {
-    std::array<bool, D> w{};
-    w.fill(false);
-    return w;
-  }
-
   double reduce_energy(double local) {
     return comm_->allreduce(local, mp::Op::kSum);
   }
 
   // Advance the rebuild criterion: the per-rank maximum core displacement
   // since the last rebuild, reduced across ranks with one kMax allreduce
-  // so every rank takes the same rebuild decision.
+  // so every rank takes the same rebuild decision.  A non-finite state
+  // scans as +inf, so that same allreduce tells every rank; only then does
+  // a kMin allreduce agree on the offending id, and every rank throws the
+  // same SimulationDiverged.
   void advance_drift() {
     double local = 0.0;
     for (std::size_t k = 0; k < blocks_.size(); ++k) {
-      const double d = max_displacement<D>(
-          blocks_[k].store.cpositions(),
-          std::span<const Vec<D>>(ref_pos_[k]), blocks_[k].ncore);
-      if (d > local) local = d;
+      local = std::max(local, trigger_.scan(k, blocks_[k].store));
     }
-    drift_ = comm_->allreduce(local, mp::Op::kMax);
+    trigger_.settle(comm_->allreduce(local, mp::Op::kMax),
+                    counters_.iterations, [&](std::int32_t id) {
+                      return comm_->allreduce(id, mp::Op::kMin);
+                    });
   }
 
   SimConfig<D> cfg_;
@@ -924,10 +819,12 @@ class MpSim {
   Boundary<D> boundary_;
   HaloExchanger<D> halo_;
   Options opts_;
+  // Every rank owns a team; one member starts no thread.  Held by pointer
+  // so the driver stays movable.
   std::unique_ptr<smp::ThreadTeam> team_;
   std::vector<AnyAccumulator<D>> accs_;
   std::vector<BlockDomain<D>> blocks_;
-  FusedBuildScratch fused_link_scratch_;  // hybrid rebuild, reused per block
+  FusedBuildScratch fused_link_scratch_;  // reused per block
   // Global prefix offsets for the fused scheme's single static partitions
   // (whole list, plus the overlapped schedule's per-section partitions).
   std::vector<std::int64_t> link_offset_;
@@ -951,12 +848,8 @@ class MpSim {
   // must see the same vector everywhere to adopt the same table); reset
   // at every rebuild.
   std::vector<std::uint64_t> block_cost_ns_;
-  // Per-block rebuild-time core-position snapshots the drift is measured
-  // against.
-  std::vector<std::vector<Vec<D>>> ref_pos_;
   double potential_ = 0.0;
-  // Measured maximum displacement since the last rebuild.
-  double drift_ = 0.0;
+  RebuildTrigger<D> trigger_;
   Counters counters_;
 };
 

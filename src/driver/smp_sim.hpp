@@ -8,11 +8,9 @@
 // (src/reduction).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
-#include <vector>
 
 #include "core/boundary.hpp"
 #include "core/cell_grid.hpp"
@@ -23,11 +21,11 @@
 #include "core/init.hpp"
 #include "core/link_list.hpp"
 #include "core/particle_store.hpp"
+#include "core/rebuild.hpp"
 #include "core/step_loop.hpp"
 #include "reduction/force_pass.hpp"
 #include "smp/thread_team.hpp"
 #include "trace/tracer.hpp"
-#include "util/timer.hpp"
 
 namespace hdem {
 
@@ -46,7 +44,8 @@ class SmpSim {
         boundary_(cfg.bc, cfg.box),
         team_(nthreads),
         reduction_kind_(reduction),
-        acc_(make_accumulator<D>(reduction)) {
+        acc_(make_accumulator<D>(reduction)),
+        trigger_(cfg.drift_allowance()) {
     cfg_.validate();
     if (steal) {
       if (reduction != ReductionKind::kColored) {
@@ -73,11 +72,7 @@ class SmpSim {
   }
 
   void step() {
-    if (!list_valid()) {
-      rebuild();
-    } else if (counters_.iterations > 0) {
-      ++counters_.rebuilds_skipped;
-    }
+    trigger_.prepare_step(counters_, [&] { rebuild(); });
     // PairDisp (not an opaque lambda) lets the batched kernel run its
     // vector gather phase.
     const PairDisp<D> disp = boundary_.pair_disp();
@@ -91,9 +86,7 @@ class SmpSim {
       smp_update_positions(team_, store_, store_.size(), cfg_.dt,
                            cfg_.gravity, boundary_, &counters_);
     }
-    drift_ = max_displacement<D>(store_.cpositions(),
-                                 std::span<const Vec<D>>(ref_pos_),
-                                 store_.size());
+    trigger_.measure(store_, counters_.iterations);
     ++counters_.iterations;
   }
 
@@ -101,53 +94,17 @@ class SmpSim {
     StepLoop<SmpSim>(*this, iterations).advance(iterations);
   }
 
-  bool list_valid() const { return drift_ < cfg_.drift_allowance(); }
+  bool list_valid() const { return trigger_.list_valid(); }
 
-  // The whole rebuild pipeline runs thread-parallel: wrap, binning
-  // (two-level counting sort), cell-order reorder (parallel gather), and
-  // the fused link build, which emits the list already in the color plan's
-  // canonical order.  Every stage is exactly reproducing its serial
-  // counterpart's output, so trajectories stay bit-identical for any team
-  // size.
+  // The shared rebuild stages on the team: each reproduces its serial
+  // counterpart exactly, so trajectories are bit-identical at any size.
   void rebuild() {
     trace::Scope rebuild_scope(trace::Phase::kLinkBuild);
-    {
-      trace::Scope scope(trace::Phase::kBin);
-      Timer t;
-      // Wrap positions (parallel over particles).
-      team_.parallel_for(0, static_cast<std::int64_t>(store_.size()),
-                         [&](int, std::int64_t lo, std::int64_t hi) {
-                           auto pos = store_.positions();
-                           for (std::int64_t i = lo; i < hi; ++i) {
-                             boundary_.wrap(pos[static_cast<std::size_t>(i)]);
-                           }
-                         });
-      grid_.configure(Vec<D>{}, cfg_.box, cfg_.binning_radius(), wrap_flags());
-      grid_.bin_parallel(store_.cpositions(), store_.size(), team_);
-      counters_.rebuild_bin_ns += t.nanoseconds();
-    }
-    if (cfg_.reorder) {
-      trace::Scope scope(trace::Phase::kReorder);
-      Timer t;
-      store_.apply_permutation_parallel(grid_.order(), store_.size(), team_);
-      grid_.reset_order_to_identity();
-      ++counters_.reorders;
-      counters_.rebuild_reorder_ns += t.nanoseconds();
-    }
-    {
-      trace::Scope scope(trace::Phase::kLinkGen);
-      Timer t;
-      counters_.links_core = 0;
-      counters_.links_halo = 0;
-      build_links_fused(links_, grid_, store_.cpositions(), store_.size(),
-                        cfg_.list_radius(), boundary_.pair_disp(), team_,
-                        fused_scratch_, store_.gather_scratch(), &counters_);
-      counters_.rebuild_linkgen_ns += t.nanoseconds();
-    }
+    rebuild_domain(cfg_, boundary_, grid_, store_, links_, team_,
+                   fused_scratch_, counters_);
     prepare_accumulator<D>(acc_, team_.size(), links_, store_.size());
-    const auto pos = store_.cpositions();
-    ref_pos_.assign(pos.begin(), pos.begin() + store_.size());
-    drift_ = 0.0;
+    trigger_.reset(store_.size());
+    trigger_.record(store_, store_.size());
     ++counters_.rebuilds;
   }
 
@@ -172,12 +129,6 @@ class SmpSim {
   }
 
  private:
-  std::array<bool, D> wrap_flags() const {
-    std::array<bool, D> w{};
-    w.fill(boundary_.periodic());
-    return w;
-  }
-
   SimConfig<D> cfg_;
   Model model_;
   Boundary<D> boundary_;
@@ -189,10 +140,7 @@ class SmpSim {
   LinkList links_;
   FusedBuildScratch fused_scratch_;
   double potential_ = 0.0;
-  // Measured maximum displacement since the last rebuild.
-  double drift_ = 0.0;
-  // Rebuild-time position snapshot the drift is measured against.
-  std::vector<Vec<D>> ref_pos_;
+  RebuildTrigger<D> trigger_;
   Counters counters_;
 };
 

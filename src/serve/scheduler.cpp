@@ -1,5 +1,6 @@
 #include "serve/scheduler.hpp"
 
+#include <exception>
 #include <optional>
 #include <stdexcept>
 #include <thread>
@@ -90,10 +91,17 @@ void Scheduler::worker_loop(int tid) {
 
     const std::uint64_t before = e->job->cost_units();
     Timer adv;
+    // A job that throws (say, an unwritable checkpoint path) fails its own
+    // future; the worker, and every other job, carry on.
+    std::exception_ptr error;
     {
       std::optional<trace::Mute> mute;
       if (opt_.mute_trace) mute.emplace();
-      e->job->advance(opt_.quantum_steps);
+      try {
+        e->job->advance(opt_.quantum_steps);
+      } catch (...) {
+        error = std::current_exception();
+      }
     }
     advance_ns_.fetch_add(adv.nanoseconds(), std::memory_order_relaxed);
 
@@ -105,8 +113,8 @@ void Scheduler::worker_loop(int tid) {
     ++e->result.quanta;
 
     book.reset();
-    if (e->job->done()) {
-      finish(std::move(e));
+    if (error || e->job->done()) {
+      finish(std::move(e), error);
     } else {
       // Requeue at the back of the owner's deque: round-robin slicing
       // within the worker, and the back is where thieves look.
@@ -175,14 +183,19 @@ std::unique_ptr<Scheduler::Entry> Scheduler::acquire(int tid) {
   return nullptr;
 }
 
-void Scheduler::finish(std::unique_ptr<Entry> e) {
-  e->result.steps = e->job->steps_done();
-  e->result.cost_units = e->job->cost_units();
-  e->result.finish_cost = cost_done_.load(std::memory_order_relaxed);
-  e->result.wall_seconds = e->submit_timer.seconds();
-  e->result.counters = e->job->counters();
-  completed_.fetch_add(1, std::memory_order_relaxed);
-  e->promise.set_value(std::move(e->result));
+void Scheduler::finish(std::unique_ptr<Entry> e, std::exception_ptr error) {
+  if (error) {
+    failed_.fetch_add(1, std::memory_order_relaxed);
+    e->promise.set_exception(std::move(error));
+  } else {
+    e->result.steps = e->job->steps_done();
+    e->result.cost_units = e->job->cost_units();
+    e->result.finish_cost = cost_done_.load(std::memory_order_relaxed);
+    e->result.wall_seconds = e->submit_timer.seconds();
+    e->result.counters = e->job->counters();
+    completed_.fetch_add(1, std::memory_order_relaxed);
+    e->promise.set_value(std::move(e->result));
+  }
   // The result lives in the future now: free the job and its state, so
   // serving memory is bounded by live jobs rather than jobs served.
   e.reset();
@@ -195,6 +208,7 @@ ServeStats Scheduler::stats() const {
   ServeStats s;
   s.jobs_submitted = submitted_.load(std::memory_order_relaxed);
   s.jobs_completed = completed_.load(std::memory_order_relaxed);
+  s.jobs_failed = failed_.load(std::memory_order_relaxed);
   s.quanta = quanta_.load(std::memory_order_relaxed);
   s.steals = steals_.load(std::memory_order_relaxed);
   s.cost_units = cost_done_.load(std::memory_order_relaxed);

@@ -42,6 +42,7 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -78,6 +79,7 @@ struct JobResult {
 struct ServeStats {
   std::uint64_t jobs_submitted = 0;
   std::uint64_t jobs_completed = 0;
+  std::uint64_t jobs_failed = 0;   // jobs whose advance threw (future holds it)
   std::uint64_t quanta = 0;
   std::uint64_t steals = 0;        // acquisitions from another worker's deque
   std::uint64_t cost_units = 0;    // global cost clock
@@ -137,7 +139,8 @@ class Scheduler {
   Scheduler& operator=(const Scheduler&) = delete;
 
   // Thread-safe; callable before or during run() from any thread.  The
-  // returned future resolves when the job completes.  Throws after
+  // returned future resolves when the job completes, or holds the
+  // exception its advance threw (the other jobs run on).  Throws after
   // close().
   std::future<JobResult> submit(std::unique_ptr<SimJob> job);
 
@@ -194,7 +197,9 @@ class Scheduler {
   std::future<JobResult> enqueue(std::unique_ptr<SimJob> job, int worker);
   void worker_loop(int tid);
   std::unique_ptr<Entry> acquire(int tid);
-  void finish(std::unique_ptr<Entry> e);
+  // Resolve the entry's future (with `error` when its job threw) and free
+  // it.
+  void finish(std::unique_ptr<Entry> e, std::exception_ptr error);
 
   smp::ThreadTeam& team_;
   Options opt_;
@@ -209,6 +214,7 @@ class Scheduler {
   std::atomic<std::uint64_t> steals_{0};
   std::atomic<std::uint64_t> submitted_{0};
   std::atomic<std::uint64_t> completed_{0};
+  std::atomic<std::uint64_t> failed_{0};
   std::atomic<std::uint64_t> advance_ns_{0};
   std::atomic<std::uint64_t> overhead_ns_{0};
   std::atomic<std::uint64_t> run_ns_{0};

@@ -32,7 +32,6 @@ const char* to_string(Phase p) {
     case Phase::kLinkBuild: return "link-build";
     case Phase::kBin: return "bin";
     case Phase::kLinkGen: return "link-gen";
-    case Phase::kColorPlan: return "color-plan";
     case Phase::kReorder: return "reorder";
     case Phase::kCollective: return "collective";
     case Phase::kIteration: return "iteration";

@@ -17,6 +17,7 @@
 #include "core/init.hpp"
 #include "core/link_list.hpp"
 #include "core/particle_store.hpp"
+#include "core/rebuild.hpp"
 #include "core/serial_sim.hpp"
 #include "driver/mp_sim.hpp"
 #include "driver/smp_sim.hpp"
@@ -116,6 +117,58 @@ TEST(RebuildReorder, ParallelPermutationMatchesSerial) {
   (void)b;
 }
 
+// SoloTeam (the serial driver's inline team) is a one-member team: the
+// same binning and the same permutation as ThreadTeam(1).
+template <int D>
+void expect_solo_binning(bool wrapped, std::uint64_t n) {
+  const auto pos = random_positions<D>(n, 13 + static_cast<std::uint64_t>(D));
+  std::array<bool, D> wrap{};
+  wrap.fill(wrapped);
+  smp::ThreadTeam one(1);
+  SoloTeam solo;
+  CellGrid<D> a, b;
+  a.configure(Vec<D>{}, Vec<D>(1.0), 0.06, wrap);
+  b.configure(Vec<D>{}, Vec<D>(1.0), 0.06, wrap);
+  a.bin_parallel(pos, n, one);
+  b.bin_parallel(pos, n, solo);
+  ASSERT_EQ(b.starts(), a.starts());
+  ASSERT_EQ(b.order(), a.order());
+}
+
+TEST(RebuildBin, SoloTeamMatchesOneThread) {
+  expect_solo_binning<2>(true, 3000);
+  expect_solo_binning<2>(false, 3000);
+  expect_solo_binning<3>(true, 3000);
+  expect_solo_binning<3>(false, 3000);
+}
+
+TEST(RebuildReorder, SoloTeamMatchesOneThread) {
+  const std::uint64_t n = 2000;
+  SimConfig<3> cfg;
+  cfg.box = Vec<3>(1.0);
+  cfg.seed = 6;
+  const auto init = uniform_random_particles(cfg, n);
+  ParticleStore<3> a, b;
+  for (std::size_t i = 0; i < init.size(); ++i) {
+    a.push_back(init[i].pos, init[i].vel, static_cast<std::int32_t>(i));
+    b.push_back(init[i].pos, init[i].vel, static_cast<std::int32_t>(i));
+  }
+  CellGrid<3> grid;
+  grid.configure(Vec<3>{}, cfg.box, 0.08, wrap_flags<3>(true));
+  grid.bin(a.cpositions(), n);
+  smp::ThreadTeam one(1);
+  SoloTeam solo;
+  a.apply_permutation_parallel(grid.order(), n, one);
+  b.apply_permutation_parallel(grid.order(), n, solo);
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(b.id(i), a.id(i)) << "i=" << i;
+    for (int d = 0; d < 3; ++d) {
+      ASSERT_EQ(b.pos(i)[d], a.pos(i)[d]) << "i=" << i;
+      ASSERT_EQ(b.vel(i)[d], a.vel(i)[d]) << "i=" << i;
+    }
+  }
+}
+
 template <int D>
 void expect_same_links(const CellGrid<D>& grid, std::span<const Vec<D>> pos,
                        std::size_t ncore, double rc, const Boundary<D>& bc) {
@@ -186,6 +239,140 @@ TEST(RebuildFusedLinks, MatchesSerialWithHaloParticles) {
   grid.configure(Vec<3>{}, Vec<3>(1.0), 0.12, wrap);
   grid.bin(pos, n);
   expect_same_links<3>(grid, pos, ncore, 0.12, bc);
+}
+
+// -- the drivers' lists are the serial reference's ----------------------
+
+// Every driver builds its lists with the fused build; these pin that the
+// result is exactly build_links on the driver's own grid and positions
+// (links, n_core, color plan), and that the link statistics in Counters
+// are exactly record_link_stats of those lists.
+void expect_same_list(const LinkList& got, const LinkList& want,
+                      const std::string& what) {
+  ASSERT_EQ(got.n_core, want.n_core) << what;
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t l = 0; l < want.size(); ++l) {
+    ASSERT_EQ(got.links[l].i, want.links[l].i) << what << " l=" << l;
+    ASSERT_EQ(got.links[l].j, want.links[l].j) << what << " l=" << l;
+  }
+  EXPECT_EQ(got.plan.nchunks, want.plan.nchunks) << what;
+  EXPECT_EQ(got.plan.ncolors, want.plan.ncolors) << what;
+  EXPECT_EQ(got.plan.core_lo, want.plan.core_lo) << what;
+  EXPECT_EQ(got.plan.core_hi, want.plan.core_hi) << what;
+  EXPECT_EQ(got.plan.halo_lo, want.plan.halo_lo) << what;
+  EXPECT_EQ(got.plan.halo_hi, want.plan.halo_hi) << what;
+}
+
+// The link statistics one rebuild added: the current sizes, plus the gap
+// tallies accumulated since `before`.
+void expect_rebuild_stats(const Counters& after, const Counters& before,
+                          const Counters& want, const std::string& what) {
+  EXPECT_EQ(after.links_core, want.links_core) << what;
+  EXPECT_EQ(after.links_halo, want.links_halo) << what;
+  EXPECT_EQ(after.link_gap_sum - before.link_gap_sum, want.link_gap_sum)
+      << what;
+  EXPECT_EQ(after.link_gap_count - before.link_gap_count,
+            want.link_gap_count)
+      << what;
+  for (int b = 0; b < Counters::kGapBuckets; ++b) {
+    EXPECT_EQ(after.link_gap_hist[b] - before.link_gap_hist[b],
+              want.link_gap_hist[b])
+        << what << " bucket " << b;
+  }
+}
+
+template <int D>
+void serial_list_case(BoundaryKind bc, bool reorder) {
+  SimConfig<D> cfg;
+  cfg.box = Vec<D>(1.0);
+  cfg.bc = bc;
+  cfg.seed = 21;
+  cfg.velocity_scale = 0.8;
+  cfg.reorder = reorder;
+  cfg.skin_factor = 0.3;
+  const std::string what =
+      std::string(D == 2 ? "2D" : "3D") +
+      (bc == BoundaryKind::kPeriodic ? " periodic" : " walls") +
+      (reorder ? " reorder" : " no-reorder");
+  SerialSim<D> sim(cfg, ElasticSphere{cfg.stiffness, cfg.diameter},
+                   uniform_random_particles(cfg, D == 2 ? 1500 : 1200));
+  Counters before;
+  for (const char* when : {"construction", "forced rebuild"}) {
+    LinkList want;
+    build_links(want, sim.grid(), sim.store().cpositions(), sim.store().size(),
+                cfg.list_radius(), sim.boundary().pair_disp());
+    ASSERT_GT(want.size(), 0u);
+    expect_same_list(sim.links(), want, what + " after " + when);
+    Counters stats;
+    record_link_stats(want, stats);
+    expect_rebuild_stats(sim.counters(), before, stats,
+                         what + " after " + when);
+    sim.run(25);
+    before = sim.counters();
+    sim.rebuild();
+  }
+}
+
+TEST(RebuildPipeline, SerialListIsBuildLinks2D) {
+  for (const auto bc : {BoundaryKind::kPeriodic, BoundaryKind::kWalls}) {
+    serial_list_case<2>(bc, true);
+    serial_list_case<2>(bc, false);
+  }
+}
+
+TEST(RebuildPipeline, SerialListIsBuildLinks3D) {
+  for (const auto bc : {BoundaryKind::kPeriodic, BoundaryKind::kWalls}) {
+    serial_list_case<3>(bc, true);
+    serial_list_case<3>(bc, false);
+  }
+}
+
+template <int D>
+void mp_list_case(bool reorder) {
+  SimConfig<D> cfg;
+  cfg.box = Vec<D>(1.0);
+  cfg.bc = BoundaryKind::kPeriodic;
+  cfg.seed = 23;
+  cfg.velocity_scale = 0.8;
+  cfg.reorder = reorder;
+  const auto init = uniform_random_particles(cfg, 900);
+  const auto layout = DecompLayout<D>::make(2, 2);
+  mp::run(2, [&](mp::Comm& comm) {
+    MpSim<D> sim(cfg, layout, comm, ElasticSphere{cfg.stiffness, cfg.diameter},
+                 init);
+    const std::string what = "rank " + std::to_string(comm.rank()) +
+                             (reorder ? " reorder" : " no-reorder");
+    Counters before;
+    for (const char* when : {"construction", "forced rebuild"}) {
+      Counters stats;
+      for (const auto& b : sim.blocks()) {
+        LinkList want;
+        build_links(want, b.grid, b.store.cpositions(), b.ncore,
+                    cfg.list_radius(), PairDisp<D>{});
+        expect_same_list(b.links, want,
+                         what + " block " + std::to_string(b.index) +
+                             " after " + when);
+        record_link_stats(want, stats);
+      }
+      EXPECT_GT(stats.links_halo, 0u) << what;
+      expect_rebuild_stats(sim.counters(), before, stats,
+                           what + " after " + when);
+      EXPECT_EQ(sim.counters().parallel_regions, 0u) << what;
+      EXPECT_EQ(sim.counters().barriers, 0u) << what;
+      sim.run(25);
+      before = sim.counters();
+      sim.rebuild();
+    }
+  });
+}
+
+TEST(RebuildPipeline, PureMpBlockListsAreBuildLinks2D) {
+  mp_list_case<2>(true);
+  mp_list_case<2>(false);
+}
+
+TEST(RebuildPipeline, PureMpBlockListsAreBuildLinks3D) {
+  mp_list_case<3>(true);
 }
 
 // -- whole-trajectory determinism -----------------------------------------

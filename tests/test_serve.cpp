@@ -8,6 +8,8 @@
 #include <fstream>
 #include <future>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -183,6 +185,56 @@ TEST(Scheduler, MultiplexedTrajectoriesBitIdenticalToStandalone) {
       EXPECT_EQ(stats.workers, workers);
     }
   }
+}
+
+// A job whose checkpoint cannot be written fails its own future with the
+// I/O error; the worker carries on, and every other job finishes with a
+// checkpoint byte-identical to a fault-free run.
+TEST(Scheduler, FailingJobFailsOnlyItsOwnFuture) {
+  const std::vector<JobSpec> specs = {
+      small_spec(0, Scenario::kUniform, 300, 40),
+      small_spec(1, Scenario::kClustered, 250, 52),
+      small_spec(2, Scenario::kSettled, 200, 36),
+  };
+  std::vector<std::string> ref;
+  for (const auto& s : specs) {
+    TempFile f("serve_fail_ref_" + std::to_string(s.job_id) + ".bin");
+    ref.push_back(standalone_bytes(s, f.path));
+  }
+  const std::string missing_dir = "serve_fail_missing_dir";
+  std::filesystem::remove_all(missing_dir);
+  for (const int workers : {1, 2}) {
+    smp::ThreadTeam team(workers);
+    Scheduler sched(team, {.quantum_steps = 16});
+    std::vector<TempFile> files;
+    std::vector<std::future<JobResult>> futs;
+    std::future<JobResult> bad_fut;
+    for (const auto& s : specs) {
+      if (s.job_id == 1) {
+        JobSpec bad = small_spec(7, Scenario::kUniform, 200, 30);
+        bad.checkpoint_path = missing_dir + "/job.bin";
+        bad.checkpoint_every = 8;
+        bad_fut = sched.submit(make_job(bad));
+      }
+      files.emplace_back("serve_fail_" + std::to_string(workers) + "_" +
+                         std::to_string(s.job_id) + ".bin");
+      JobSpec spec = s;
+      spec.checkpoint_path = files.back().path;
+      futs.push_back(sched.submit(make_job(spec)));
+    }
+    sched.drain();
+    EXPECT_THROW(bad_fut.get(), std::runtime_error) << "workers=" << workers;
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      EXPECT_EQ(futs[i].get().steps, specs[i].steps);
+      EXPECT_EQ(file_bytes(files[i].path), ref[i])
+          << "job " << i << " at workers=" << workers;
+    }
+    const auto stats = sched.stats();
+    EXPECT_EQ(stats.jobs_submitted, specs.size() + 1);
+    EXPECT_EQ(stats.jobs_completed, specs.size());
+    EXPECT_EQ(stats.jobs_failed, 1u);
+  }
+  EXPECT_FALSE(std::filesystem::exists(missing_dir));
 }
 
 // Satellite 3: two jobs checkpointing concurrently from different workers
